@@ -8,18 +8,18 @@ numerical/statistical verification of the privacy and bias guarantees.
 """
 
 from .bias import (
-    BiasEntry,
-    BiasReport,
     NumericSup,
     bias_bit,
     bias_ratio_restricted_vs_bit,
     bias_restricted,
     bias_translated_ramp,
+    closed_form_bias,
     expectation_postprocessed_quadrature,
     expectation_translated_ramp,
     max_abs_bias_numeric,
     max_abs_bias_translated_ramp,
     optimal_alpha,
+    quadrature_bias,
 )
 from .distributions import (
     LaplaceDist,
@@ -35,6 +35,7 @@ from .mechanisms import (
     PostProcessor,
     PrivacyParams,
     Variant,
+    adjacent_densities,
     apply_postprocessor,
     guaranteed_privacy_level,
     make_laplace_mechanism,
@@ -43,12 +44,12 @@ from .mechanisms import (
     make_restricted_mechanism,
     restricted_cdf,
     restricted_pdf,
+    restricted_quantile,
     sample_mechanism,
     sample_restricted_inverse,
     sample_restricted_rejection,
 )
 from .queries import (
-    AdjacencyRelation,
     Dataset,
     QueryDescriptor,
     QueryKind,

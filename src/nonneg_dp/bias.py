@@ -16,24 +16,23 @@ than 2 at every q.
 
 Closed forms here are exact; a quadrature engine handles arbitrary
 nonnegative square-integrable post-processing functions and doubles as the
-independent cross-check for the closed forms.
+independent cross-check for the closed forms.  ``closed_form_bias`` and
+``quadrature_bias`` give both for any :class:`MechanismSpec`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from .mechanisms import PostProcessor, apply_postprocessor
+from .distributions import LaplaceDist, laplace_pdf, log_laplace_mgf
+from .mechanisms import MechanismSpec, PostProcessor, Variant, apply_postprocessor, restricted_pdf
 
 __all__ = [
-    "BiasEntry",
-    "BiasReport",
     "NumericSup",
     "bias_bit",
     "expectation_translated_ramp",
@@ -43,6 +42,9 @@ __all__ = [
     "bias_restricted",
     "bias_ratio_restricted_vs_bit",
     "expectation_postprocessed_quadrature",
+    "truncated_exp_moment",
+    "closed_form_bias",
+    "quadrature_bias",
     "max_abs_bias_numeric",
 ]
 
@@ -168,6 +170,56 @@ def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) 
     return value
 
 
+def truncated_exp_moment(b: float, radius: float) -> float:
+    """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
+    [-radius, radius]."""
+    value, _ = integrate.quad(
+        lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
+        -radius, radius, points=[0.0], limit=400,
+    )
+    return value
+
+
+def closed_form_bias(spec: MechanismSpec, q: float) -> float:
+    """Exact bias of the mechanism at true value q.
+
+    The multiplicative bias q(1/(1 - b^2) - 1) is infinite once b >= 1.
+    Custom post-processors have no closed form: ValueError.
+    """
+    b = spec.scale
+    if spec.variant is Variant.PLAIN:
+        return 0.0
+    if spec.variant is Variant.RESTRICTED:
+        return bias_restricted(q, b)
+    if spec.variant is Variant.MULTIPLICATIVE:
+        moment = log_laplace_mgf(b, 1.0)
+        return q * (moment - 1.0) if math.isfinite(moment) else math.inf
+    pp = spec.postprocessor
+    if pp.kind == "custom":
+        raise ValueError("custom post-processors have no closed-form bias")
+    return bias_bit(q, b) if pp.alpha == 0.0 else bias_translated_ramp(q, pp.alpha, b)
+
+
+def quadrature_bias(spec: MechanismSpec, q: float) -> float:
+    """Bias of the mechanism at q by adaptive quadrature of its output law,
+    the independent cross-check of :func:`closed_form_bias`."""
+    b = spec.scale
+    if spec.variant is Variant.POST_PROCESSED:
+        return expectation_postprocessed_quadrature(spec.postprocessor, q, b) - q
+    if spec.variant is Variant.MULTIPLICATIVE:
+        if b >= 1.0:
+            return math.inf
+        return q * (truncated_exp_moment(b, _TAIL_RADII * b / (1.0 - b)) - 1.0)
+    base = LaplaceDist(q, b)
+    if spec.variant is Variant.PLAIN:
+        pdf, lo, points = laplace_pdf, q - _TAIL_RADII * b, [q]
+    else:
+        pdf, lo, points = restricted_pdf, 0.0, [q] if q > 0 else None
+    value, _ = integrate.quad(lambda x: x * pdf(base, x), lo, q + _TAIL_RADII * b,
+                              points=points, limit=200)
+    return value - q
+
+
 class NumericSup(NamedTuple):
     """Grid maximum of |bias| plus where it occurred.
 
@@ -197,35 +249,3 @@ def max_abs_bias_numeric(bias_fn: Callable[[float], float], q_max: float,
         value, argmax = abs(limit), math.inf
     return NumericSup(value, argmax, truncated=True)
 
-
-@dataclass(frozen=True)
-class BiasEntry:
-    q: float
-    bias: float
-    method: str  # "closed-form" | "quadrature" | "monte-carlo"
-    stderr: float | None = None
-
-
-@dataclass
-class BiasReport:
-    """Per-q bias values, annotated with the method that produced each number."""
-
-    entries: list[BiasEntry] = field(default_factory=list)
-
-    def add(self, q: float, bias: float, method: str, stderr: float | None = None) -> None:
-        if method not in ("closed-form", "quadrature", "monte-carlo"):
-            raise ValueError(f"unknown method {method!r}")
-        self.entries.append(BiasEntry(q, bias, method, stderr))
-        self.entries.sort(key=lambda e: e.q)
-
-    @property
-    def max_abs_bias(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(abs(e.bias) for e in self.entries)
-
-    @property
-    def argmax_q(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(self.entries, key=lambda e: abs(e.bias)).q

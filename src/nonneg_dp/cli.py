@@ -2,8 +2,10 @@
 
 Emits plot-ready CSV for curves and JSON for scalar reports, all floats fixed
 to 17 significant digits so identical seeds give byte-identical files.
-Parameters come from flags or a JSON config file (flags win).  Exit codes:
-0 success, 1 verification failure, 2 usage or configuration error.
+Parameters come from flags or a JSON config file (flags win).  Every
+mechanism fact (scale, privacy level, warning, bias, density) comes from the
+library.  Exit codes: 0 success, 1 verification failure, 2 usage or
+configuration error, including a domain error raised by the library.
 """
 
 from __future__ import annotations
@@ -13,19 +15,23 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+# Unused here: the benchmark's tracer (bench/tracing.py, proxy_quad) looks up cli.integrate.
+from scipy import integrate  # noqa: F401
 
 from . import bias as bias_mod
-from .distributions import LaplaceDist, laplace_pdf, log_laplace_mgf
 from .mechanisms import (
     MechanismSpec,
     PostProcessor,
     PrivacyParams,
-    Variant,
-    restricted_pdf,
+    adjacent_densities,
+    guaranteed_privacy_level,
+    make_laplace_mechanism,
+    make_multiplicative_mechanism,
+    make_postprocessed_mechanism,
+    make_restricted_mechanism,
 )
 from .queries import Dataset, QueryDescriptor, QueryKind, evaluate_query, load_records, relative_bound_K, sensitivity
 from .verify import certify_dp_densities, mc_bias
@@ -34,7 +40,16 @@ __all__ = ["ExperimentConfig", "main", "read_csv_report"]
 
 SEED_ENV_VAR = "NONNEG_DP_SEED"
 
-_MECHANISMS = ("laplace", "bit", "ramp", "restricted", "multiplicative")
+# Mechanism name -> spec built from the config and its (epsilon, sensitivity).
+_CONSTRUCTORS = {
+    "laplace": lambda conf, privacy: make_laplace_mechanism(privacy),
+    "bit": lambda conf, privacy: make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
+    "ramp": lambda conf, privacy: make_postprocessed_mechanism(
+        privacy, PostProcessor.translated_ramp(conf.alpha)),
+    "restricted": lambda conf, privacy: make_restricted_mechanism(privacy),
+    "multiplicative": lambda conf, privacy: make_multiplicative_mechanism(conf.epsilon, conf.kbound),
+}
+_MECHANISMS = tuple(_CONSTRUCTORS)
 _QUERY_NAMES = {"count": QueryKind.COUNT_ABOVE_THRESHOLD,
                 "sum": QueryKind.BOUNDED_SUM,
                 "mean": QueryKind.BOUNDED_MEAN}
@@ -99,14 +114,6 @@ class ExperimentConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if self.query not in _QUERY_NAMES:
             raise UsageError(f"unknown query {self.query!r}")
-
-    @property
-    def resolved_scale(self) -> float:
-        if self.scale is not None:
-            return self.scale
-        if self.mechanism == "multiplicative":
-            return self.kbound / self.epsilon
-        return self.sensitivity / self.epsilon
 
     def q_grid(self) -> np.ndarray:
         if self.q_points == 1:
@@ -225,88 +232,27 @@ def read_csv_report(path: str) -> tuple[list[str], list[list], list[str]]:
 
 
 # --------------------------------------------------------------------------
-# mechanism assembly shared by the subcommands
+# subcommands
 
 def _build_spec(conf: ExperimentConfig) -> MechanismSpec:
-    privacy = PrivacyParams(conf.epsilon, conf.sensitivity)
-    b = conf.resolved_scale
-    if conf.mechanism == "laplace":
-        return MechanismSpec(Variant.PLAIN, privacy, b)
-    if conf.mechanism == "bit":
-        return MechanismSpec(Variant.POST_PROCESSED, privacy, b, postprocessor=PostProcessor.ramp())
-    if conf.mechanism == "ramp":
-        return MechanismSpec(Variant.POST_PROCESSED, privacy, b,
-                             postprocessor=PostProcessor.translated_ramp(conf.alpha))
-    if conf.mechanism == "restricted":
-        return MechanismSpec(Variant.RESTRICTED, privacy, b)
-    privacy = PrivacyParams(conf.epsilon, conf.kbound)
-    warning = None
-    if conf.kbound >= conf.epsilon:
-        warning = "relative bound >= epsilon: mechanism mean is infinite"
-    elif conf.kbound >= conf.epsilon / 2.0:
-        warning = "relative bound >= epsilon/2: mechanism variance is infinite"
-    return MechanismSpec(Variant.MULTIPLICATIVE, privacy, b, k_bound=conf.kbound, warning=warning)
+    spec = _CONSTRUCTORS[conf.mechanism](conf, PrivacyParams(conf.epsilon, conf.sensitivity))
+    return spec if conf.scale is None else replace(spec, scale=conf.scale)
 
-
-def _closed_form_bias(conf: ExperimentConfig, q: float) -> float:
-    b = conf.resolved_scale
-    if conf.mechanism == "laplace":
-        return 0.0
-    if conf.mechanism == "bit":
-        return bias_mod.bias_bit(q, b)
-    if conf.mechanism == "ramp":
-        return bias_mod.bias_translated_ramp(q, conf.alpha, b)
-    if conf.mechanism == "restricted":
-        return bias_mod.bias_restricted(q, b)
-    return q * (log_laplace_mgf(b, 1.0) - 1.0) if math.isfinite(log_laplace_mgf(b, 1.0)) else math.inf
-
-
-def _quadrature_bias(conf: ExperimentConfig, q: float) -> float:
-    b = conf.resolved_scale
-    if conf.mechanism == "laplace":
-        base = LaplaceDist(q, b)
-        value, _ = integrate.quad(lambda x: x * laplace_pdf(base, x),
-                                  q - 40 * b, q + 40 * b, points=[q], limit=200)
-        return value - q
-    if conf.mechanism == "bit":
-        return bias_mod.expectation_postprocessed_quadrature(PostProcessor.ramp(), q, b) - q
-    if conf.mechanism == "ramp":
-        pp = PostProcessor.translated_ramp(conf.alpha)
-        return bias_mod.expectation_postprocessed_quadrature(pp, q, b) - q
-    if conf.mechanism == "restricted":
-        base = LaplaceDist(q, b)
-        value, _ = integrate.quad(lambda x: x * restricted_pdf(base, x),
-                                  0.0, q + 40 * b, points=[q] if q > 0 else None, limit=200)
-        return value - q
-    if b >= 1.0:
-        return math.inf
-    radius = 40.0 * b / (1.0 - b)
-    value, _ = integrate.quad(lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2 * b),
-                              -radius, radius, points=[0.0], limit=200)
-    return q * (value - 1.0)
-
-
-# --------------------------------------------------------------------------
-# subcommands
 
 def cmd_bias_curve(conf: ExperimentConfig) -> int:
     spec = _build_spec(conf)
     grid = conf.q_grid()
-    seeds = conf.row_seeds(len(grid))
     rows = []
-    for q, seed in zip(grid, seeds):
-        q = float(q)
-        if conf.mechanism == "multiplicative" and q == 0.0:
-            raise UsageError("multiplicative mechanism requires q > 0; use --q-min > 0")
+    for q, seed in zip(grid.tolist(), conf.row_seeds(len(grid))):
         estimate = mc_bias(spec, q, conf.samples, seed)
-        rows.append([q, _closed_form_bias(conf, q), _quadrature_bias(conf, q),
+        rows.append([q, bias_mod.closed_form_bias(spec, q), bias_mod.quadrature_bias(spec, q),
                      estimate.mean, estimate.stderr])
     _emit_report(conf, ["q", "bias_closed_form", "bias_quadrature", "bias_mc", "mc_stderr"], rows)
     return 0
 
 
 def cmd_optimal_alpha(conf: ExperimentConfig) -> int:
-    b = conf.resolved_scale
+    b = _build_spec(conf).scale
     alpha_star = bias_mod.optimal_alpha(b)
     at_star = bias_mod.max_abs_bias_translated_ramp(alpha_star, b)
     at_zero = bias_mod.max_abs_bias_translated_ramp(0.0, b)
@@ -321,44 +267,21 @@ def cmd_optimal_alpha(conf: ExperimentConfig) -> int:
 
 
 def cmd_compare(conf: ExperimentConfig) -> int:
-    b_post = conf.sensitivity / conf.epsilon
-    b_restricted = 2.0 * b_post
-    rows = []
-    for q in conf.q_grid():
-        q = float(q)
-        rows.append([
-            q,
-            bias_mod.bias_bit(q, b_post),
-            bias_mod.bias_restricted(q, b_restricted),
-            bias_mod.bias_ratio_restricted_vs_bit(q, conf.epsilon, conf.sensitivity),
-        ])
+    privacy = PrivacyParams(conf.epsilon, conf.sensitivity)
+    clamped = make_postprocessed_mechanism(privacy, PostProcessor.ramp())
+    restricted = make_restricted_mechanism(privacy, fair_comparison=True)
+    rows = [[q, bias_mod.closed_form_bias(clamped, q), bias_mod.closed_form_bias(restricted, q),
+             bias_mod.bias_ratio_restricted_vs_bit(q, conf.epsilon, conf.sensitivity)]
+            for q in conf.q_grid().tolist()]
     _emit_report(conf, ["q", "bias_bit", "bias_restricted_same_eps", "ratio"], rows)
     return 0
 
 
 def cmd_verify_dp(conf: ExperimentConfig) -> int:
-    b = conf.resolved_scale
-    delta = conf.sensitivity
-    if conf.mechanism in ("bit", "ramp"):
-        raise UsageError("post-processed mechanisms have no closed-form density to certify")
-    if conf.mechanism == "laplace":
-        pair = (LaplaceDist(0.0, b), LaplaceDist(delta, b))
-        grid = np.linspace(-10 * b, delta + 10 * b, 2000)
-        densities = (lambda x: laplace_pdf(pair[0], x), lambda x: laplace_pdf(pair[1], x))
-        claimed_default = conf.epsilon
-    elif conf.mechanism == "restricted":
-        pair = (LaplaceDist(0.0, b), LaplaceDist(delta, b))
-        grid = np.linspace(0.0, delta + 10 * b, 2000)
-        densities = (lambda x: restricted_pdf(pair[0], x), lambda x: restricted_pdf(pair[1], x))
-        claimed_default = 2.0 * conf.epsilon
-    else:
-        # Log-domain densities: adjacent queries are at log-distance <= kbound.
-        pair = (LaplaceDist(0.0, b), LaplaceDist(conf.kbound, b))
-        grid = np.linspace(-10 * b, conf.kbound + 10 * b, 2000)
-        densities = (lambda x: laplace_pdf(pair[0], x), lambda x: laplace_pdf(pair[1], x))
-        claimed_default = conf.epsilon
-    claimed = conf.claimed if conf.claimed is not None else claimed_default
-    certificate = certify_dp_densities(densities[0], densities[1], claimed, grid)
+    spec = _build_spec(conf)
+    density_a, density_b, grid = adjacent_densities(spec)
+    claimed = conf.claimed if conf.claimed is not None else guaranteed_privacy_level(spec)
+    certificate = certify_dp_densities(density_a, density_b, claimed, grid)
     _emit_scalar(conf, {
         "mechanism": conf.mechanism,
         "epsilon_claimed": certificate.epsilon_claimed,
@@ -372,14 +295,10 @@ def cmd_verify_dp(conf: ExperimentConfig) -> int:
 def cmd_mc_validate(conf: ExperimentConfig) -> int:
     spec = _build_spec(conf)
     grid = conf.q_grid()
-    seeds = conf.row_seeds(len(grid))
     rows = []
     max_abs_z = 0.0
-    for q, seed in zip(grid, seeds):
-        q = float(q)
-        if conf.mechanism == "multiplicative" and q == 0.0:
-            raise UsageError("multiplicative mechanism requires q > 0; use --q-min > 0")
-        closed = _closed_form_bias(conf, q)
+    for q, seed in zip(grid.tolist(), conf.row_seeds(len(grid))):
+        closed = bias_mod.closed_form_bias(spec, q)
         estimate = mc_bias(spec, q, conf.samples, seed)
         if math.isfinite(closed) and estimate.stderr > 0:
             z = (estimate.mean - closed) / estimate.stderr
@@ -395,17 +314,10 @@ def cmd_mc_validate(conf: ExperimentConfig) -> int:
 def cmd_query_info(conf: ExperimentConfig) -> int:
     if conf.data is None:
         raise UsageError("query-info requires --data")
-    try:
-        records = load_records(conf.data)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read dataset: {exc}") from exc
     kind = _QUERY_NAMES[conf.query]
     qd = QueryDescriptor(kind, threshold=conf.threshold, count_floor=conf.count_floor)
-    try:
-        dataset = Dataset(records, conf.lower, conf.upper, conf.lower_open)
-        value = evaluate_query(qd, dataset)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    dataset = Dataset(load_records(conf.data), conf.lower, conf.upper, conf.lower_open)
+    value = evaluate_query(qd, dataset)
     bounds = (conf.lower, conf.upper)
     delta = sensitivity(qd, bounds, len(dataset))
     _emit_scalar(conf, {
@@ -415,7 +327,7 @@ def cmd_query_info(conf: ExperimentConfig) -> int:
         "sensitivity": delta,
         "relative_bound": relative_bound_K(qd, bounds, len(dataset)),
         "epsilon": conf.epsilon,
-        "scale": delta / conf.epsilon,
+        "scale": PrivacyParams(conf.epsilon, delta).scale,
     })
     return 0
 
@@ -440,10 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
-    mech = argparse.ArgumentParser(add_help=False)
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--epsilon", type=float)
+
+    privacy = argparse.ArgumentParser(add_help=False, parents=[eps])
+    privacy.add_argument("--sensitivity", type=float)
+
+    mech = argparse.ArgumentParser(add_help=False, parents=[privacy])
     mech.add_argument("--mechanism", choices=_MECHANISMS)
-    mech.add_argument("--epsilon", type=float)
-    mech.add_argument("--sensitivity", type=float)
     mech.add_argument("--scale", type=float, help="override the Laplace scale b")
     mech.add_argument("--alpha", type=float, help="ramp translation")
     mech.add_argument("--kbound", type=float, help="relative bound for the multiplicative mechanism")
@@ -463,14 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="closed-form vs quadrature vs Monte Carlo bias over a q grid")
     sub.add_parser("optimal-alpha", parents=[common, mech],
                    help="worst-case-bias-minimizing ramp translation")
-    sub.add_parser("compare", parents=[common, mech, grid],
+    sub.add_parser("compare", parents=[common, privacy, grid],
                    help="clamping vs restriction bias at equal privacy level")
     p = sub.add_parser("verify-dp", parents=[common, mech],
                        help="density-ratio privacy certificate")
     p.add_argument("--claimed", type=float, help="privacy level to certify (default: the guaranteed level)")
     sub.add_parser("mc-validate", parents=[common, mech, grid, samples],
                    help="Monte Carlo validation of closed-form bias with z-scores")
-    p = sub.add_parser("query-info", parents=[common, mech],
+    p = sub.add_parser("query-info", parents=[common, eps],
                        help="evaluate a dataset query and its sensitivity bounds")
     p.add_argument("--data", help="newline-delimited decimal records")
     p.add_argument("--lower", type=float)
@@ -517,10 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         conf = _resolve_config(args)
         return _HANDLERS[conf.command](conf)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,32 +52,21 @@ class LaplaceDist:
 
 @dataclass
 class RngState:
-    """Deterministic, splittable uniform stream.
+    """Deterministic uniform stream.
 
     Built on a seeded :class:`numpy.random.SeedSequence`; the same seed always
     reproduces the same stream bit-for-bit.  A state is single-owner: never
-    share one across concurrent tasks, derive independent children with
-    :meth:`spawn` instead.
+    share one across concurrent tasks, give each its own seed instead.
     """
 
     seed: int
-    _seq: np.random.SeedSequence = field(init=False, repr=False)
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         self.seed = int(self.seed)
-        self._seq = np.random.SeedSequence(self.seed)
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    @classmethod
-    def _from_seq(cls, seq: np.random.SeedSequence) -> "RngState":
-        state = cls.__new__(cls)
-        state.seed = int(seq.entropy) if isinstance(seq.entropy, int) else 0
-        state._seq = seq
-        state._gen = np.random.Generator(np.random.PCG64(seq))
-        return state
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def uniform(self, size: int | None = None):
         """One uniform draw in (0, 1), or an array of ``size`` draws."""
@@ -87,10 +76,6 @@ class RngState:
         if size is None:
             return float(u) if u > 0.0 else _TINY
         return np.maximum(u, _TINY)
-
-    def spawn(self, n: int) -> list["RngState"]:
-        """Derive ``n`` statistically independent child streams."""
-        return [RngState._from_seq(seq) for seq in self._seq.spawn(n)]
 
 
 def _check_finite(x) -> np.ndarray:

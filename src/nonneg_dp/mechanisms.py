@@ -25,6 +25,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -52,9 +53,11 @@ __all__ = [
     "sample_mechanism",
     "restricted_cdf",
     "restricted_pdf",
+    "restricted_quantile",
     "sample_restricted_rejection",
     "sample_restricted_inverse",
     "guaranteed_privacy_level",
+    "adjacent_densities",
 ]
 
 
@@ -139,7 +142,7 @@ class PostProcessor:
     @classmethod
     def ramp(cls) -> "PostProcessor":
         """max(x, 0): clamp negative outputs to the boundary."""
-        return cls(kind="ramp", alpha=0.0)
+        return cls.translated_ramp(0.0)
 
     @classmethod
     def translated_ramp(cls, alpha: float) -> "PostProcessor":
@@ -158,7 +161,7 @@ class PostProcessor:
 
 def apply_postprocessor(pp: PostProcessor, x):
     """Apply the post-processing function to a scalar or array of outputs."""
-    if pp.kind in ("ramp", "translated-ramp"):
+    if pp.kind == "translated-ramp":
         out = np.maximum(np.asarray(x, dtype=float) - pp.alpha, 0.0)
         return float(out) if out.ndim == 0 else out
     arr = np.asarray(x, dtype=float)
@@ -254,6 +257,26 @@ def guaranteed_privacy_level(spec: MechanismSpec) -> float:
     return spec.privacy.epsilon
 
 
+def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, np.ndarray]:
+    """Output densities at two adjacent query values and a grid covering both,
+    the inputs of :func:`nonneg_dp.verify.certify_dp_densities`.
+
+    Plain and restricted mechanisms are compared at q = 0 and q = sensitivity.
+    The multiplicative mechanism is compared in the log domain, where adjacent
+    queries lie within log-distance k_bound (its ``privacy.sensitivity``).
+    Post-processed mechanisms have no closed-form density: ValueError.
+    """
+    if spec.variant is Variant.POST_PROCESSED:
+        raise ValueError("post-processed mechanisms have no closed-form density to certify")
+    b, delta = spec.scale, spec.privacy.sensitivity
+    pair = (LaplaceDist(0.0, b), LaplaceDist(delta, b))
+    if spec.variant is Variant.RESTRICTED:
+        return (partial(restricted_pdf, pair[0]), partial(restricted_pdf, pair[1]),
+                np.linspace(0.0, delta + 10 * b, 2000))
+    return (partial(laplace_pdf, pair[0]), partial(laplace_pdf, pair[1]),
+            np.linspace(-10 * b, delta + 10 * b, 2000))
+
+
 def restricted_cdf(base: LaplaceDist, t):
     """cdf of the base law renormalized to [0, inf):
     (F(t) - F(0)) / (1 - F(0)) for t >= 0, zero below."""
@@ -291,18 +314,19 @@ def sample_restricted_rejection(base: LaplaceDist, rng: RngState,
     raise RuntimeError("rejection budget exceeded")
 
 
-def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None = None):
-    """Inverse-transform draw from the restricted law; exactly one uniform per draw.
-
-    Maps a uniform u to the base quantile at F(0) + u*(1 - F(0)), i.e. the
-    generalized inverse of the restricted cdf.
-    """
+def restricted_quantile(base: LaplaceDist, u):
+    """Generalized inverse of the restricted cdf at u in (0, 1): the base
+    quantile at F(0) + u*(1 - F(0))."""
     mass_below_zero = laplace_cdf(base, 0.0)
-    u = rng.uniform(size)
     p = mass_below_zero + u * (1.0 - mass_below_zero)
     # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
     p = np.minimum(p, np.nextafter(1.0, 0.0))
     return laplace_quantile(base, p)
+
+
+def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None = None):
+    """Inverse-transform draw from the restricted law; exactly one uniform per draw."""
+    return restricted_quantile(base, rng.uniform(size))
 
 
 def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | None = None):

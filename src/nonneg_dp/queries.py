@@ -25,7 +25,6 @@ __all__ = [
     "QueryKind",
     "QueryDescriptor",
     "Dataset",
-    "AdjacencyRelation",
     "evaluate_query",
     "sensitivity",
     "relative_bound_K",
@@ -85,19 +84,6 @@ class Dataset:
         records = list(self.records)
         records[index] = value
         return Dataset(tuple(records), self.lower, self.upper, self.lower_open)
-
-
-@dataclass(frozen=True)
-class AdjacencyRelation:
-    """Replace-one-record adjacency on fixed-size datasets (symmetric,
-    reflexive).  The only relation supported in this package."""
-
-    kind: str = "replace-one-record"
-
-    def are_adjacent(self, a: Dataset, b: Dataset) -> bool:
-        if len(a) != len(b):
-            return False
-        return sum(x != y for x, y in zip(a.records, b.records)) <= 1
 
 
 def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:

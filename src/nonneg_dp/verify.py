@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
+from .bias import truncated_exp_moment
 from .distributions import LaplaceDist, RngState, laplace_cdf, laplace_quantile, log_laplace_mgf
-from .mechanisms import MechanismSpec, Variant, restricted_cdf, sample_mechanism
+from .mechanisms import MechanismSpec, Variant, restricted_cdf, restricted_quantile, sample_mechanism
 
 __all__ = [
     "DpCertificate",
@@ -151,23 +151,10 @@ def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
     if omega_grid < 100:
         raise ValueError("omega grid too coarse")
     omega = np.arange(1, omega_grid + 1, dtype=float) / (omega_grid + 1)
-    mass_below_zero = laplace_cdf(base, 0.0)
-    p = mass_below_zero + omega * (1.0 - mass_below_zero)
-    p = np.minimum(p, np.nextafter(1.0, 0.0))
-    restricted_quantiles = laplace_quantile(base, p)
-    base_quantiles = laplace_quantile(base, omega)
-    gap = restricted_quantiles - base_quantiles
+    gap = restricted_quantile(base, omega) - laplace_quantile(base, omega)
     if np.any(gap < 0.0):
         raise RuntimeError("dominance coupling broken")
     return float(np.trapezoid(gap, omega))
-
-
-def _truncated_exp_moment(b: float, radius: float) -> float:
-    value, _ = integrate.quad(
-        lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
-        -radius, radius, points=[0.0], limit=400,
-    )
-    return value
 
 
 def check_divergence_log_laplace(b: float, radii: Sequence[float],
@@ -192,7 +179,7 @@ def check_divergence_log_laplace(b: float, radii: Sequence[float],
     radii = tuple(float(r) for r in radii)
     if len(radii) < 2 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing, at least two")
-    values = tuple(_truncated_exp_moment(b, r) for r in radii)
+    values = tuple(truncated_exp_moment(b, r) for r in radii)
     increasing = all(v2 > v1 for v1, v2 in zip(values, values[1:]))
     growth = values[-1] / values[0]
     limit = log_laplace_mgf(b, 1.0)

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, special
 
 from nonneg_dp.bias import (
-    BiasReport,
     bias_bit,
     bias_ratio_restricted_vs_bit,
     bias_restricted,
@@ -285,17 +284,3 @@ class TestPositiveBiasWitnesses:
         for q in (0.0, 0.5, 1.0, 4.0, 9.0):
             assert abs(self._bias(pp, q)) == pytest.approx(q, abs=1e-12)
 
-
-class TestBiasReport:
-    def test_entries_sorted_and_summarized(self):
-        report = BiasReport()
-        report.add(2.0, -0.1, "closed-form")
-        report.add(0.0, 0.5, "quadrature")
-        report.add(1.0, 0.2, "monte-carlo", stderr=0.01)
-        assert [e.q for e in report.entries] == [0.0, 1.0, 2.0]
-        assert report.max_abs_bias == 0.5
-        assert report.argmax_q == 0.0
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            BiasReport().add(0.0, 0.1, "guesswork")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nonneg_dp.queries import (
-    AdjacencyRelation,
     Dataset,
     QueryDescriptor,
     QueryKind,
@@ -40,8 +39,6 @@ class TestDataset:
         d = Dataset((0.2, 0.4, 0.6), 0.0, 1.0)
         other = d.replace(1, 0.9)
         assert other.records == (0.2, 0.9, 0.6)
-        assert AdjacencyRelation().are_adjacent(d, other)
-        assert AdjacencyRelation().are_adjacent(d, d)  # reflexive
 
 
 class TestEvaluateQuery:
