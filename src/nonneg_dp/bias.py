@@ -8,7 +8,8 @@ alpha, so the worst-case absolute bias over q >= 0 is
 
     B(alpha) = max{ (b/2) exp(-alpha/b), alpha }
 
-which is minimized at the unique crossing point alpha* of the two terms.
+which is minimized at the unique crossing point alpha* = b*W(1/2) of the
+two terms, W being Lambert's W function.
 Renormalizing the law to [0, inf) instead ("restriction") biases the release
 by (q + b)/(2 exp(q/b) - 1), and at equal guaranteed privacy level the
 restriction bias exceeds the clamping bias by a factor strictly greater
@@ -52,6 +53,9 @@ __all__ = [
 # peak at |x-q| = b*ln(1e16) ~ 36.8b; round up for headroom.
 _TAIL_RADII = 40.0
 
+# Lambert W(1/2), the root of w*exp(w) = 1/2, rounded to the nearest double.
+_LAMBERT_W_HALF = 0.35173371124919584
+
 
 def _require_positive_scale(b: float) -> None:
     if not (math.isfinite(b) and b > 0):
@@ -92,28 +96,14 @@ def max_abs_bias_translated_ramp(alpha: float, b: float) -> float:
     return max(0.5 * b * math.exp(-alpha / b), alpha)
 
 
-def optimal_alpha(b: float, tol: float = 1e-12) -> float:
+def optimal_alpha(b: float) -> float:
     """Translation minimizing the worst-case bias of the translated ramp.
 
-    Solves (b/2)exp(-alpha/b) - alpha = 0 by bisection on [0, b/2], where the
-    left endpoint is positive and the right is negative; the solution is the
-    common value of the two competing bias terms.
+    The two competing bias terms meet where (b/2)exp(-alpha/b) = alpha; with
+    w = alpha/b that is w*exp(w) = 1/2, so alpha* = b*W(1/2) for Lambert's W.
     """
     _require_positive_scale(b)
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-
-    def gap(alpha: float) -> float:
-        return 0.5 * b * math.exp(-alpha / b) - alpha
-
-    lo, hi = 0.0, 0.5 * b
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return b * _LAMBERT_W_HALF
 
 
 def bias_restricted(q: float, b: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -122,8 +123,16 @@ class TestOptimalAlpha:
 
     def test_residual_within_tolerance(self):
         for b in (0.5, 1.0, 2.0):
-            alpha = optimal_alpha(b, tol=1e-12)
+            alpha = optimal_alpha(b)
             assert abs(0.5 * b * math.exp(-alpha / b) - alpha) <= 1e-11
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-13, 1.0, 1e5, 1e300])
+    def test_closed_form_at_extreme_scales(self, b):
+        # A bisection returned 0.25*b at b = 1e-13 and never returned at b = 1e5.
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(b) * mpmath.lambertw(0.5).real
+            alpha = optimal_alpha(b)
+            assert abs(mpmath.mpf(alpha) - exact) <= 0.52 * math.ulp(alpha)
 
     def test_scaling_in_b(self):
         unit = optimal_alpha(1.0)
