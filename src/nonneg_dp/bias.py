@@ -123,14 +123,19 @@ def bias_ratio_restricted_vs_bit(q: float, epsilon: float, delta_sens: float) ->
     Restriction runs at doubled scale (2*sensitivity/epsilon) to match the
     clamped mechanism's level.  With s = epsilon*q/sensitivity the ratio is
     2 exp(s)(s + 2)/(2 exp(s/2) - 1), which exceeds 2 for every q >= 0.
+    Past the double range (s >~ 1419) it is returned as inf.
     """
     _require_nonnegative("q", q)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _require_positive_scale(delta_sens)
     s = epsilon * q / delta_sens
-    # 2 e^s (s+2) / (2 e^{s/2} - 1), overflow-safe form.
-    return 2.0 * math.exp(s / 2.0) * (s + 2.0) / (2.0 - math.exp(-s / 2.0))
+    try:
+        growth = math.exp(s / 2.0)
+    except OverflowError:
+        return math.inf
+    # 2 e^s (s+2) / (2 e^{s/2} - 1) divided through by e^{s/2}.
+    return 2.0 * growth * (s + 2.0) / (2.0 - math.exp(-s / 2.0))
 
 
 def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:

@@ -194,6 +194,18 @@ class TestBiasRatio:
         assert bias_ratio_restricted_vs_bit(1.0, 1.0, 1.0) == pytest.approx(
             7.0990637096907605, rel=1e-12)
 
+    def test_inf_beyond_double_range(self):
+        # e^{s/2} overflows a double once s = eps*q/Delta >~ 1419.
+        assert bias_ratio_restricted_vs_bit(3000.0, 1.0, 1.0) == math.inf
+
+    def test_large_finite_value_matches_mpmath(self):
+        with mpmath.workdps(50):
+            s = mpmath.mpf(1350)
+            exact = 2 * mpmath.exp(s) * (s + 2) / (2 * mpmath.exp(s / 2) - 1)
+            got = bias_ratio_restricted_vs_bit(1350.0, 1.0, 1.0)
+            assert math.isfinite(got)
+            assert abs(got - exact) <= 1e-12 * exact
+
     @pytest.mark.parametrize("eps,delta", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.1)])
     def test_always_above_two(self, eps, delta):
         for q in np.linspace(0.0, 20 * delta / eps, 200):
