@@ -236,6 +236,24 @@ class TestErrorHandling:
         assert run("optimal-alpha", "--scale", "1",
                    "--out", "/nonexistent-dir/report.json") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("bias-curve", "--mechanism", "bit", "--sensitivity", "0"),
+        ("verify-dp", "--mechanism", "laplace", "--sensitivity", "0"),
+    ])
+    def test_library_domain_error_is_usage_error(self, argv, capsys):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--scale", "5", "--q-max", "2", "--q-points", "3"),
+        ("compare", "--mechanism", "restricted"),
+        ("query-info", "--sensitivity", "2"),
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv)
+        assert excinfo.value.code == 2
+
     def test_unknown_mechanism_exits_via_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             run("bias-curve", "--mechanism", "bogus")
