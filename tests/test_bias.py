@@ -10,14 +10,24 @@ from nonneg_dp.bias import (
     bias_ratio_restricted_vs_bit,
     bias_restricted,
     bias_translated_ramp,
+    closed_form_bias,
     expectation_postprocessed_quadrature,
     expectation_translated_ramp,
     max_abs_bias_numeric,
     max_abs_bias_translated_ramp,
     optimal_alpha,
+    quadrature_bias,
 )
 from nonneg_dp.distributions import LaplaceDist
-from nonneg_dp.mechanisms import PostProcessor, restricted_pdf
+from nonneg_dp.mechanisms import (
+    PostProcessor,
+    PrivacyParams,
+    make_laplace_mechanism,
+    make_multiplicative_mechanism,
+    make_postprocessed_mechanism,
+    make_restricted_mechanism,
+    restricted_pdf,
+)
 
 
 def ramp_expectation_quad(q, b, alpha=0.0):
@@ -219,6 +229,27 @@ class TestBiasRatio:
             direct = bias_restricted(q, 2 * delta / eps) / bias_bit(q, delta / eps)
             assert bias_ratio_restricted_vs_bit(q, eps, delta) == pytest.approx(
                 direct, rel=1e-10)
+
+
+class TestSpecBias:
+    def test_closed_form_matches_quadrature_for_every_variant(self):
+        privacy = PrivacyParams(1.0, 0.8)
+        specs = [make_laplace_mechanism(privacy),
+                 make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
+                 make_postprocessed_mechanism(privacy, PostProcessor.translated_ramp(0.3)),
+                 make_restricted_mechanism(privacy),
+                 make_restricted_mechanism(privacy, fair_comparison=True),
+                 make_multiplicative_mechanism(1.0, 0.3)]
+        for spec in specs:
+            for q in (0.5, 2.0):
+                assert quadrature_bias(spec, q) == pytest.approx(closed_form_bias(spec, q), abs=1e-8)
+
+    def test_custom_postprocessor_has_quadrature_only(self):
+        pp = PostProcessor.custom(lambda x: max(x, 0.0), scale=1.0)
+        spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), pp)
+        with pytest.raises(ValueError):
+            closed_form_bias(spec, 1.0)
+        assert quadrature_bias(spec, 1.0) == pytest.approx(bias_bit(1.0, 1.0), abs=1e-8)
 
 
 class TestQuadratureEngine:
