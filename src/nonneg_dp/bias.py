@@ -28,9 +28,8 @@ import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
-from .distributions import LaplaceDist, laplace_pdf, log_laplace_mgf
+from .distributions import LaplaceDist, log_laplace_mgf
 from .mechanisms import MechanismSpec, PostProcessor, Variant, apply_postprocessor, restricted_pdf
 
 __all__ = [
@@ -138,22 +137,14 @@ def bias_ratio_restricted_vs_bit(q: float, epsilon: float, delta_sens: float) ->
     return 2.0 * growth * (s + 2.0) / (2.0 - math.exp(-s / 2.0))
 
 
-def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
-    """E[pp(q + noise)] by adaptive quadrature against the Laplace density.
+def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
+               points: list[float]) -> float:
+    """Adaptive quadrature of ``integrand`` over [lo, hi], split at the
+    ``points`` inside it; ValueError when quad reports trouble beyond its
+    tolerance or the value is not finite."""
+    from scipy import integrate
 
-    Integrates over [q - 40b, q + 40b], outside which the density is below
-    1e-16 of its peak, with subdivision breakpoints at the density kink and at
-    the ramp kink so piecewise-smooth integrands keep full convergence order.
-    """
-    _require_positive_scale(b)
-    _require_nonnegative("q", q)
-    lo, hi = q - _TAIL_RADII * b, q + _TAIL_RADII * b
-    breakpoints = [x for x in (q, pp.alpha if pp.kind != "custom" else None)
-                   if x is not None and lo < x < hi]
-
-    def integrand(x: float) -> float:
-        return apply_postprocessor(pp, x) * math.exp(-abs(x - q) / b) / (2.0 * b)
-
+    breakpoints = [x for x in points if lo < x < hi] or None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value, abserr = integrate.quad(integrand, lo, hi, points=breakpoints,
@@ -165,9 +156,28 @@ def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) 
     return value
 
 
+def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
+    """E[pp(q + noise)] by adaptive quadrature against the Laplace density.
+
+    Integrates over [q - 40b, q + 40b], outside which the density is below
+    1e-16 of its peak, with subdivision breakpoints at the density kink and at
+    the ramp kink so piecewise-smooth integrands keep full convergence order.
+    """
+    _require_positive_scale(b)
+    _require_nonnegative("q", q)
+    points = [q] if pp.kind == "custom" else [q, pp.alpha]
+
+    def integrand(x: float) -> float:
+        return apply_postprocessor(pp, x) * math.exp(-abs(x - q) / b) / (2.0 * b)
+
+    return _integrate(integrand, q - _TAIL_RADII * b, q + _TAIL_RADII * b, points)
+
+
 def truncated_exp_moment(b: float, radius: float) -> float:
     """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
     [-radius, radius]."""
+    from scipy import integrate
+
     value, _ = integrate.quad(
         lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
         -radius, radius, points=[0.0], limit=400,
@@ -197,22 +207,31 @@ def closed_form_bias(spec: MechanismSpec, q: float) -> float:
 
 def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     """Bias of the mechanism at q by adaptive quadrature of its output law,
-    the independent cross-check of :func:`closed_form_bias`."""
+    the independent cross-check of :func:`closed_form_bias`.
+
+    The additive variants integrate (output - q) times the density of the
+    noise z, so no E[output] ~ q is formed and then cancelled against q.
+    """
     b = spec.scale
-    if spec.variant is Variant.POST_PROCESSED:
-        return expectation_postprocessed_quadrature(spec.postprocessor, q, b) - q
     if spec.variant is Variant.MULTIPLICATIVE:
         if b >= 1.0:
             return math.inf
         return q * (truncated_exp_moment(b, _TAIL_RADII * b / (1.0 - b)) - 1.0)
-    base = LaplaceDist(q, b)
+    _require_positive_scale(b)
+    _require_nonnegative("q", q)
+    lo, hi = -_TAIL_RADII * b, _TAIL_RADII * b
     if spec.variant is Variant.PLAIN:
-        pdf, lo, points = laplace_pdf, q - _TAIL_RADII * b, [q]
-    else:
-        pdf, lo, points = restricted_pdf, 0.0, [q] if q > 0 else None
-    value, _ = integrate.quad(lambda x: x * pdf(base, x), lo, q + _TAIL_RADII * b,
-                              points=points, limit=200)
-    return value - q
+        return _integrate(lambda z: z * math.exp(-abs(z) / b) / (2.0 * b), lo, hi, [0.0])
+    if spec.variant is Variant.RESTRICTED:
+        base = LaplaceDist(q, b)
+        return _integrate(lambda z: z * restricted_pdf(base, q + z), max(lo, -q), hi, [0.0])
+    pp = spec.postprocessor
+    points = [0.0] if pp.kind == "custom" else [0.0, pp.alpha - q]
+
+    def excess(z: float) -> float:
+        return (apply_postprocessor(pp, q + z) - q) * math.exp(-abs(z) / b) / (2.0 * b)
+
+    return _integrate(excess, lo, hi, points)
 
 
 class NumericSup(NamedTuple):

@@ -29,7 +29,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     LaplaceDist,
@@ -91,6 +90,8 @@ _VPLUS_GRID_POINTS = 10_000
 
 
 def _weighted_square_integral(func: Callable[[float], float], scale: float, radius: float) -> float:
+    from scipy import integrate
+
     def integrand(x: float) -> float:
         try:
             return func(x) ** 2 * math.exp(-abs(x) / scale)

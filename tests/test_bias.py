@@ -251,6 +251,20 @@ class TestSpecBias:
             closed_form_bias(spec, 1.0)
         assert quadrature_bias(spec, 1.0) == pytest.approx(bias_bit(1.0, 1.0), abs=1e-8)
 
+    @pytest.mark.parametrize("make", [
+        lambda privacy: make_laplace_mechanism(privacy),
+        lambda privacy: make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
+        lambda privacy: make_postprocessed_mechanism(privacy, PostProcessor.translated_ramp(3.5e-4)),
+        lambda privacy: make_restricted_mechanism(privacy),
+    ], ids=["laplace", "bit", "ramp", "restricted"])
+    def test_quadrature_does_not_cancel_at_large_q_over_b(self, make):
+        # E[output] - q at q = 1e6, b = 1e-3 lost ~0.011 to cancellation.
+        spec = make(PrivacyParams(1.0, 1e-3))
+        q, b = 1e6, spec.scale
+        assert b == 1e-3
+        gap = abs(quadrature_bias(spec, q) - closed_form_bias(spec, q))
+        assert gap <= 1e-12 * (q + b)
+
 
 class TestQuadratureEngine:
     def test_ramp_matches_closed_form(self):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,50 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             run("bias-curve", "--mechanism", "bogus")
         assert excinfo.value.code == 2
+
+
+class TestColdImport:
+    """A fresh process loads scipy only for the subcommands that integrate."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "import nonneg_dp, nonneg_dp.cli\n"
+        "code = nonneg_dp.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+
+    def _fresh(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("NONNEG_DP_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv, "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)   # [exit code, scipy modules loaded]
+
+    @pytest.mark.parametrize("argv", [
+        ("optimal-alpha",),
+        ("compare",),
+        ("verify-dp", "--mechanism", "laplace"),
+        ("query-info", "--data", "{records}"),
+    ], ids=lambda argv: argv[0])
+    def test_closed_form_subcommands_never_load_scipy(self, argv, tmp_path):
+        records = tmp_path / "records.txt"
+        records.write_text("0.25\n0.5\n")
+        argv = [arg.replace("{records}", str(records)) for arg in argv]
+        assert self._fresh(tmp_path, *argv) == [0, []]
+
+    def test_quadrature_loads_scipy(self, tmp_path):
+        code, scipy_modules = self._fresh(tmp_path, "bias-curve", "--mechanism", "bit",
+                                          "--q-points", "2", "--samples", "100")
+        assert code == 0
+        assert "scipy.integrate" in scipy_modules
+
+    def test_tracer_shim_returns_scipy_integrate_only(self):
+        import scipy.integrate
+
+        import nonneg_dp.cli as cli
+        assert cli.integrate is scipy.integrate
+        with pytest.raises(AttributeError):
+            cli.no_such_name
 
 
 class TestDeterminismAndRoundTrip:
