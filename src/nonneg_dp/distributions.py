@@ -12,11 +12,18 @@ Laplace noise, and deterministic inverse-transform sampling.
 Sampling draws exactly one uniform variate per Laplace draw.  That accounting
 is load-bearing: the quantile-coupling construction in :mod:`nonneg_dp.verify`
 relies on the sample being a deterministic function of a single uniform.
+
+Each per-point function takes a float (Python or numpy scalar) or an array.
+A float skips numpy's array machinery but applies the same ``np.log`` and
+``np.exp`` in the same order, so a scalar result is a Python ``float`` equal
+bit for bit to the array result at the same point: a scalar draw equals the
+batched draw at the same uniform.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +40,7 @@ __all__ = [
 
 # Smallest uniform admitted by the inverse transform; keeps quantile finite
 # while preserving the one-draw-per-sample contract.
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,10 @@ def _check_finite(x) -> np.ndarray:
 
 def laplace_pdf(dist: LaplaceDist, x):
     """Density (1/2b) exp(-|x - q|/b); strictly positive for all finite x."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("non-finite input")
+        return float(np.exp(-abs(x - dist.location) / dist.scale)) / (2.0 * dist.scale)
     arr = _check_finite(x)
     out = np.exp(-np.abs(arr - dist.location) / dist.scale) / (2.0 * dist.scale)
     return out if arr.ndim else float(out)
@@ -94,6 +105,11 @@ def laplace_pdf(dist: LaplaceDist, x):
 
 def laplace_cdf(dist: LaplaceDist, x):
     """Exact cdf: (1/2)e^{(x-q)/b} below the mean, 1 - (1/2)e^{-(x-q)/b} above."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("non-finite input")
+        z = (x - dist.location) / dist.scale
+        return 0.5 * float(np.exp(z)) if z < 0 else 1.0 - 0.5 * float(np.exp(-z))
     arr = _check_finite(x)
     z = (arr - dist.location) / dist.scale
     out = np.where(z < 0, 0.5 * np.exp(np.minimum(z, 0.0)),
@@ -103,6 +119,12 @@ def laplace_cdf(dist: LaplaceDist, x):
 
 def laplace_quantile(dist: LaplaceDist, p):
     """Closed-form inverse cdf, valid for p in the open interval (0, 1)."""
+    if isinstance(p, float):
+        if p <= 0.0 or p >= 1.0:
+            raise ValueError("probability out of range")
+        if p < 0.5:
+            return float(dist.location + dist.scale * np.log(2.0 * p))
+        return float(dist.location - dist.scale * np.log(2.0 * (1.0 - p)))
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("probability out of range")

@@ -162,6 +162,15 @@ class PostProcessor:
 
 def apply_postprocessor(pp: PostProcessor, x):
     """Apply the post-processing function to a scalar or array of outputs."""
+    if isinstance(x, float):
+        if pp.kind == "translated-ramp":
+            shifted = float(x) - pp.alpha
+            # np.maximum's answer, -0.0 and nan included.
+            return 0.0 if shifted <= 0.0 else shifted
+        value = float(pp.func(float(x)))
+        if value < 0:
+            raise ValueError("post-processor not nonnegative")
+        return value
     if pp.kind == "translated-ramp":
         out = np.maximum(np.asarray(x, dtype=float) - pp.alpha, 0.0)
         return float(out) if out.ndim == 0 else out
@@ -292,8 +301,11 @@ def restricted_cdf(base: LaplaceDist, t):
 
 def restricted_pdf(base: LaplaceDist, x):
     """Density of the renormalized law: f(x)/(1 - F(0)) on [0, inf)."""
-    arr = np.asarray(x, dtype=float)
     normalizer = 1.0 - laplace_cdf(base, 0.0)
+    if isinstance(x, float):
+        density = laplace_pdf(base, x) / normalizer
+        return 0.0 if x < 0 else density
+    arr = np.asarray(x, dtype=float)
     out = np.where(arr < 0, 0.0, laplace_pdf(base, arr) / normalizer)
     return float(out) if arr.ndim == 0 else out
 
@@ -315,13 +327,17 @@ def sample_restricted_rejection(base: LaplaceDist, rng: RngState,
     raise RuntimeError("rejection budget exceeded")
 
 
+# Largest double below 1: the restricted quantile's cap on its base probability.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
 def restricted_quantile(base: LaplaceDist, u):
     """Generalized inverse of the restricted cdf at u in (0, 1): the base
     quantile at F(0) + u*(1 - F(0))."""
     mass_below_zero = laplace_cdf(base, 0.0)
     p = mass_below_zero + u * (1.0 - mass_below_zero)
     # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
-    p = np.minimum(p, np.nextafter(1.0, 0.0))
+    p = min(p, _BELOW_ONE) if isinstance(p, float) else np.minimum(p, _BELOW_ONE)
     return laplace_quantile(base, p)
 
 
@@ -338,7 +354,7 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
         if q == 0.0:
             raise ValueError("query must be strictly positive for the multiplicative mechanism")
         noise = sample_laplace(LaplaceDist(0.0, spec.scale), rng, size)
-        return q * np.exp(noise)
+        return float(q) * float(np.exp(noise)) if size is None else q * np.exp(noise)
     if spec.scale == 0.0:
         value = float(q) if size is None else np.full(size, float(q))
         if spec.variant is Variant.POST_PROCESSED:

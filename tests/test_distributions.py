@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from nonneg_dp.distributions import (
+    _TINY,
     LaplaceDist,
     RngState,
     laplace_cdf,
@@ -103,6 +104,58 @@ class TestQuantile:
     def test_rejects_out_of_range(self, p):
         with pytest.raises(ValueError, match="probability out of range"):
             laplace_quantile(LaplaceDist(0.0, 1.0), p)
+
+
+# Uniforms from the smallest one the sampler emits to the largest double below 1.
+SCALAR_GRID_U = np.concatenate([[_TINY, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0 - 2**-53],
+                                np.random.default_rng(2024).random(2000)])
+SCALAR_DISTS = [LaplaceDist(0.0, 1.0), LaplaceDist(3.7, 0.013), LaplaceDist(1e6, 1e-3),
+                LaplaceDist(-2.0, 250.0)]
+
+
+class TestScalarPath:
+    """A float input gives a Python float equal bit for bit to the array result."""
+
+    @pytest.mark.parametrize("dist", SCALAR_DISTS)
+    def test_quantile_matches_array_form(self, dist):
+        batched = laplace_quantile(dist, SCALAR_GRID_U)
+        scalar = [laplace_quantile(dist, float(u)) for u in SCALAR_GRID_U]
+        np.testing.assert_array_equal(scalar, batched)
+
+    @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf])
+    @pytest.mark.parametrize("dist", SCALAR_DISTS)
+    def test_density_and_cdf_match_array_form(self, func, dist):
+        xs = np.concatenate([laplace_quantile(dist, SCALAR_GRID_U),
+                             [0.0, -0.0, dist.location, -1e308, 1e308]])
+        batched = func(dist, xs)
+        scalar = [func(dist, float(x)) for x in xs]
+        np.testing.assert_array_equal(scalar, batched)
+
+    @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf, laplace_quantile])
+    def test_results_are_python_floats(self, func):
+        dist = LaplaceDist(np.float64(0.5), 2.0)
+        for x in (0.3, np.float64(0.3), 0.7, np.float64(0.7)):
+            assert type(func(dist, x)) is float
+
+    def test_sample_is_python_float(self):
+        assert type(sample_laplace(LaplaceDist(1.0, 1.0), RngState(1))) is float
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    def test_quantile_range_error_matches_array_form(self, p):
+        for arg in (p, np.float64(p), np.array([0.5, p])):
+            with pytest.raises(ValueError, match="probability out of range"):
+                laplace_quantile(LaplaceDist(0.0, 1.0), arg)
+
+    @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_error_matches_array_form(self, func, x):
+        for arg in (x, np.float64(x), np.array([0.0, x])):
+            with pytest.raises(ValueError, match="non-finite input"):
+                func(LaplaceDist(0.0, 1.0), arg)
+
+    def test_tiny_is_smallest_normal_double(self):
+        assert type(_TINY) is float
+        assert _TINY == np.finfo(float).tiny
 
 
 class TestRngState:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonneg_dp.distributions import LaplaceDist, RngState, laplace_cdf, laplace_pdf
+from nonneg_dp.distributions import _TINY, LaplaceDist, RngState, laplace_cdf, laplace_pdf
 from nonneg_dp.mechanisms import (
     MechanismSpec,
     PostProcessor,
@@ -18,6 +18,7 @@ from nonneg_dp.mechanisms import (
     make_restricted_mechanism,
     restricted_cdf,
     restricted_pdf,
+    restricted_quantile,
     sample_mechanism,
     sample_restricted_inverse,
     sample_restricted_rejection,
@@ -249,6 +250,88 @@ class TestSampleMechanism:
         spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
         draws = sample_mechanism(spec, 5.0, RngState(12), size=10**6)
         assert abs(draws.mean() - 5.0) < 0.005
+
+
+def _softplus(x):
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _scalar_path_specs():
+    privacy = PrivacyParams(0.8, 1.0)
+    return {
+        "plain": make_laplace_mechanism(privacy),
+        "ramp": make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
+        "translated-ramp": make_postprocessed_mechanism(privacy, PostProcessor.translated_ramp(0.44)),
+        "softplus": make_postprocessed_mechanism(privacy, PostProcessor.custom(_softplus, 1.25)),
+        "restricted": make_restricted_mechanism(privacy),
+        "multiplicative": make_multiplicative_mechanism(1.0, 0.3),
+    }
+
+
+SCALAR_PATH_SPECS = _scalar_path_specs()
+
+
+class TestScalarPath:
+    """Scalar draws and densities are Python floats equal bit for bit to the
+    batched result at the same uniform."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 30.0])
+    @pytest.mark.parametrize("name", sorted(SCALAR_PATH_SPECS))
+    def test_scalar_draws_equal_batched_draw(self, name, q):
+        spec = SCALAR_PATH_SPECS[name]
+        if spec.variant is Variant.MULTIPLICATIVE and q == 0.0:
+            for size in (None, 20_000):
+                with pytest.raises(ValueError, match="strictly positive"):
+                    sample_mechanism(spec, q, RngState(77), size=size)
+            return
+        rng = RngState(77)
+        scalar = [sample_mechanism(spec, q, rng) for _ in range(20_000)]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_array_equal(scalar, sample_mechanism(spec, q, RngState(77), size=20_000))
+
+    @pytest.mark.parametrize("q,b", [(0.0, 1.0), (0.5, 2.0), (30.0, 0.7), (1e6, 1e-3)])
+    def test_restricted_quantile_and_pdf_match_array_form(self, q, b):
+        base = LaplaceDist(q, b)
+        us = np.concatenate([[_TINY, 1e-300, 0.5, 1.0 - 2**-53],
+                             np.random.default_rng(2025).random(2000)])
+        batched = restricted_quantile(base, us)
+        scalar = [restricted_quantile(base, float(u)) for u in us]
+        np.testing.assert_array_equal(scalar, batched)
+        xs = np.concatenate([batched, [0.0, -0.0, -1.0, q, 1e308]])
+        np.testing.assert_array_equal([restricted_pdf(base, float(x)) for x in xs],
+                                      restricted_pdf(base, xs))
+
+    @pytest.mark.parametrize("name", ["ramp", "translated-ramp", "softplus"])
+    def test_postprocessor_matches_array_form(self, name):
+        pp = SCALAR_PATH_SPECS[name].postprocessor
+        xs = np.array([-1e308, -3.0, -0.0, 0.0, 0.44, 0.4400000000000001, 2.5, 1e308, math.nan])
+        scalar = np.array([apply_postprocessor(pp, float(x)) for x in xs])
+        batched = apply_postprocessor(pp, xs)
+        np.testing.assert_array_equal(scalar, batched)
+        np.testing.assert_array_equal(np.signbit(scalar), np.signbit(batched))
+
+    def test_results_are_python_floats(self):
+        base = LaplaceDist(np.float64(0.5), 2.0)
+        for x in (0.3, np.float64(0.3), -0.3, np.float64(-0.3)):
+            assert type(restricted_pdf(base, x)) is float
+            assert type(apply_postprocessor(SCALAR_PATH_SPECS["ramp"].postprocessor, x)) is float
+            assert type(apply_postprocessor(SCALAR_PATH_SPECS["softplus"].postprocessor, x)) is float
+        for u in (0.3, np.float64(0.3)):
+            assert type(restricted_quantile(base, u)) is float
+        for spec in SCALAR_PATH_SPECS.values():
+            assert type(sample_mechanism(spec, np.float64(2.0), RngState(3))) is float
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_restricted_pdf_nonfinite_error_matches_array_form(self, x):
+        for arg in (x, np.float64(x), np.array([0.0, x])):
+            with pytest.raises(ValueError, match="non-finite input"):
+                restricted_pdf(LaplaceDist(0.0, 1.0), arg)
+
+    def test_negative_custom_output_error_matches_array_form(self):
+        pp = PostProcessor.custom(lambda x: max(x, 0.0) if x <= 25.0 else -1.0, scale=1.0)
+        for arg in (30.0, np.float64(30.0), np.array([1.0, 30.0])):
+            with pytest.raises(ValueError, match="not nonnegative"):
+                apply_postprocessor(pp, arg)
 
 
 class TestDensityRatioCertificates:
