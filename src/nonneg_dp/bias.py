@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import LaplaceDist, log_laplace_mgf
+from .distributions import LaplaceDist
 from .mechanisms import MechanismSpec, PostProcessor, Variant, apply_postprocessor, restricted_pdf
 
 __all__ = [
@@ -75,17 +75,22 @@ def bias_bit(q: float, b: float) -> float:
 
 def expectation_translated_ramp(q: float, alpha: float, b: float) -> float:
     """E[max(q + noise - alpha, 0)]; two exponential branches meeting at q = alpha."""
+    return q + bias_translated_ramp(q, alpha, b)
+
+
+def bias_translated_ramp(q: float, alpha: float, b: float) -> float:
+    """Bias of the translated-ramp mechanism; decreasing in q, tends to -alpha.
+
+    Equals -alpha + (b/2)exp((alpha - q)/b) for q >= alpha and
+    (b/2)exp((q - alpha)/b) - q below, so no E[output] ~ q is formed and
+    then cancelled against q.
+    """
     _require_positive_scale(b)
     _require_nonnegative("q", q)
     _require_nonnegative("alpha", alpha)
     if q >= alpha:
-        return (q - alpha) + 0.5 * b * math.exp((alpha - q) / b)
-    return 0.5 * b * math.exp((q - alpha) / b)
-
-
-def bias_translated_ramp(q: float, alpha: float, b: float) -> float:
-    """Bias of the translated-ramp mechanism; decreasing in q, tends to -alpha."""
-    return expectation_translated_ramp(q, alpha, b) - q
+        return 0.5 * b * math.exp((alpha - q) / b) - alpha
+    return 0.5 * b * math.exp((q - alpha) / b) - q
 
 
 def max_abs_bias_translated_ramp(alpha: float, b: float) -> float:
@@ -188,7 +193,8 @@ def truncated_exp_moment(b: float, radius: float) -> float:
 def closed_form_bias(spec: MechanismSpec, q: float) -> float:
     """Exact bias of the mechanism at true value q.
 
-    The multiplicative bias q(1/(1 - b^2) - 1) is infinite once b >= 1.
+    The multiplicative bias q(1/(1 - b^2) - 1) = q b^2/((1 - b)(1 + b)) is
+    infinite once b >= 1.
     Custom post-processors have no closed form: ValueError.
     """
     b = spec.scale
@@ -197,8 +203,7 @@ def closed_form_bias(spec: MechanismSpec, q: float) -> float:
     if spec.variant is Variant.RESTRICTED:
         return bias_restricted(q, b)
     if spec.variant is Variant.MULTIPLICATIVE:
-        moment = log_laplace_mgf(b, 1.0)
-        return q * (moment - 1.0) if math.isfinite(moment) else math.inf
+        return q * b * b / ((1.0 - b) * (1.0 + b)) if b < 1.0 else math.inf
     pp = spec.postprocessor
     if pp.kind == "custom":
         raise ValueError("custom post-processors have no closed-form bias")

@@ -20,8 +20,10 @@ from nonneg_dp.bias import (
 )
 from nonneg_dp.distributions import LaplaceDist
 from nonneg_dp.mechanisms import (
+    MechanismSpec,
     PostProcessor,
     PrivacyParams,
+    Variant,
     make_laplace_mechanism,
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
@@ -109,6 +111,21 @@ class TestTranslatedRampBias:
         for alpha in (0.0, 0.35, 1.0, 2.0):
             values = [bias_translated_ramp(q, alpha, 1.0) for q in qs]
             assert all(x > y for x, y in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("q,alpha,b", [
+        (1e6, 3.5e-4, 1e-3), (1e3, 0.35, 1.0), (40.0, 1.0, 1.0), (2.0, 1.0, 1.0),
+        (1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (0.0, 0.35, 1.0), (1e300, 3e299, 1e300),
+        (5e-301, 2e-301, 1e-300), (7.5, 0.7, 2.0)])
+    def test_matches_mpmath_without_cancellation(self, q, alpha, b):
+        # Error within a few ulp of the larger of the two terms; forming
+        # E[output] - q lost 3.6e-8 relative at q = 1e6, b = 1e-3.
+        with mpmath.workdps(50):
+            q_, a_, b_ = mpmath.mpf(q), mpmath.mpf(alpha), mpmath.mpf(b)
+            boundary = b_ / 2 * mpmath.exp(-abs(q_ - a_) / b_)
+            exact = boundary - a_ if q >= alpha else boundary - q_
+            size = max(boundary, a_ if q >= alpha else q_)
+            error = abs(mpmath.mpf(bias_translated_ramp(q, alpha, b)) - exact)
+            assert error <= 4 * 2.0**-53 * size
 
 
 class TestWorstCaseBias:
@@ -243,6 +260,18 @@ class TestSpecBias:
         for spec in specs:
             for q in (0.5, 2.0):
                 assert quadrature_bias(spec, q) == pytest.approx(closed_form_bias(spec, q), abs=1e-8)
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-9, 1e-5, 0.1, 0.3, 0.49, 0.9, 0.999999])
+    def test_multiplicative_closed_form_matches_mpmath(self, b):
+        # q(1/(1 - b^2) - 1) cancelled to exactly 0 at b = 1e-9.  Results
+        # below the subnormal range round to 0, hence the absolute floor.
+        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b, k_bound=b)
+        for q in (1e-200, 0.7, 3.0, 1e200):
+            with mpmath.workdps(50):
+                b_ = mpmath.mpf(b)
+                exact = mpmath.mpf(q) * b_**2 / (1 - b_**2)
+                error = abs(mpmath.mpf(closed_form_bias(spec, q)) - exact)
+                assert error <= 4 * 2.0**-53 * exact + 2.0**-1074
 
     def test_custom_postprocessor_has_quadrature_only(self):
         pp = PostProcessor.custom(lambda x: max(x, 0.0), scale=1.0)
