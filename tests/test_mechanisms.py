@@ -298,8 +298,9 @@ class TestScalarPath:
         scalar = [restricted_quantile(base, float(u)) for u in us]
         np.testing.assert_array_equal(scalar, batched)
         xs = np.concatenate([batched, [0.0, -0.0, -1.0, q, 1e308]])
-        np.testing.assert_array_equal([restricted_pdf(base, float(x)) for x in xs],
-                                      restricted_pdf(base, xs))
+        with np.errstate(over="ignore"):  # (x - q)/b overflows at x = 1e308
+            batched_pdf = restricted_pdf(base, xs)
+        np.testing.assert_array_equal([restricted_pdf(base, float(x)) for x in xs], batched_pdf)
 
     @pytest.mark.parametrize("name", ["ramp", "translated-ramp", "softplus"])
     def test_postprocessor_matches_array_form(self, name):
