@@ -15,9 +15,10 @@ relies on the sample being a deterministic function of a single uniform.
 
 Each per-point function takes a float (Python or numpy scalar) or an array.
 A float skips numpy's array machinery but applies the same ``np.log`` and
-``np.exp`` in the same order, so a scalar result is a Python ``float`` equal
-bit for bit to the array result at the same point: a scalar draw equals the
-batched draw at the same uniform.
+``np.exp``, so a scalar result is a Python ``float`` equal bit for bit to the
+array result at the same point: a scalar draw equals the batched draw at the
+same uniform.  The batched quantile takes one log per draw, is branch-free
+and never writes into its input.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class RngState:
         # positive double rather than consuming a second draw.
         if size is None:
             return float(u) if u > 0.0 else _TINY
-        return np.maximum(u, _TINY)
+        return np.maximum(u, _TINY, out=u)
 
 
 def _check_finite(x) -> np.ndarray:
@@ -128,9 +129,14 @@ def laplace_quantile(dist: LaplaceDist, p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("probability out of range")
-    lower = dist.location + dist.scale * np.log(2.0 * np.minimum(arr, 0.5))
-    upper = dist.location - dist.scale * np.log(2.0 * np.minimum(1.0 - arr, 0.5))
-    out = np.where(arr < 0.5, lower, upper)
+    # loc - copysign(b, p - 0.5) log(2 min(p, 1 - p)), one log per point, equals
+    # both scalar branches bit for bit (p = 0.5 takes the upper: p - 0.5 = +0.0).
+    # Fresh buffers, so the caller's array is never written.
+    out = np.subtract(1.0, arr, out=np.empty(arr.shape))
+    np.log(np.multiply(np.minimum(arr, out, out=out), 2.0, out=out), out=out)
+    sign = np.subtract(arr, 0.5, out=np.empty(arr.shape))
+    out *= np.copysign(dist.scale, sign, out=sign)
+    np.subtract(dist.location, out, out=out)
     return out if arr.ndim else float(out)
 
 

@@ -171,10 +171,11 @@ def apply_postprocessor(pp: PostProcessor, x):
         if value < 0:
             raise ValueError("post-processor not nonnegative")
         return value
-    if pp.kind == "translated-ramp":
-        out = np.maximum(np.asarray(x, dtype=float) - pp.alpha, 0.0)
-        return float(out) if out.ndim == 0 else out
     arr = np.asarray(x, dtype=float)
+    if pp.kind == "translated-ramp":
+        out = np.subtract(arr, pp.alpha, out=np.empty(arr.shape))
+        np.maximum(out, 0.0, out=out)
+        return float(out) if out.ndim == 0 else out
     if arr.ndim == 0:
         out = np.asarray(float(pp.func(float(arr))))
     else:
@@ -337,7 +338,7 @@ def restricted_quantile(base: LaplaceDist, u):
     mass_below_zero = laplace_cdf(base, 0.0)
     p = mass_below_zero + u * (1.0 - mass_below_zero)
     # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
-    p = min(p, _BELOW_ONE) if isinstance(p, float) else np.minimum(p, _BELOW_ONE)
+    p = min(p, _BELOW_ONE) if isinstance(p, float) else np.minimum(p, _BELOW_ONE, out=p)
     return laplace_quantile(base, p)
 
 
@@ -354,7 +355,9 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
         if q == 0.0:
             raise ValueError("query must be strictly positive for the multiplicative mechanism")
         noise = sample_laplace(LaplaceDist(0.0, spec.scale), rng, size)
-        return float(q) * float(np.exp(noise)) if size is None else q * np.exp(noise)
+        if size is None:
+            return float(q) * float(np.exp(noise))
+        return np.multiply(np.exp(noise, out=noise), q, out=noise)
     if spec.scale == 0.0:
         value = float(q) if size is None else np.full(size, float(q))
         if spec.variant is Variant.POST_PROCESSED:

@@ -106,11 +106,15 @@ class TestQuantile:
             laplace_quantile(LaplaceDist(0.0, 1.0), p)
 
 
-# Uniforms from the smallest one the sampler emits to the largest double below 1.
-SCALAR_GRID_U = np.concatenate([[_TINY, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0 - 2**-53],
+# Uniforms from the smallest one the sampler emits to the largest double below 1,
+# the two neighbours of 0.5, where the quantile switches branch, and [0.2, 0.3],
+# where 1 - p rounds.
+SCALAR_GRID_U = np.concatenate([[_TINY, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0 - 2**-53,
+                                 math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)],
+                                np.linspace(0.2, 0.3, 1001),
                                 np.random.default_rng(2024).random(2000)])
 SCALAR_DISTS = [LaplaceDist(0.0, 1.0), LaplaceDist(3.7, 0.013), LaplaceDist(1e6, 1e-3),
-                LaplaceDist(-2.0, 250.0)]
+                LaplaceDist(-2.0, 250.0), LaplaceDist(-0.0, 1.0)]
 
 
 class TestScalarPath:
@@ -121,6 +125,26 @@ class TestScalarPath:
         batched = laplace_quantile(dist, SCALAR_GRID_U)
         scalar = [laplace_quantile(dist, float(u)) for u in SCALAR_GRID_U]
         np.testing.assert_array_equal(scalar, batched)
+        np.testing.assert_array_equal(np.signbit(scalar), np.signbit(batched))
+
+    def test_quantile_at_half_keeps_sign_of_location(self):
+        for loc in (0.0, -0.0):
+            dist = LaplaceDist(loc, 1.0)
+            for value in (laplace_quantile(dist, 0.5), laplace_quantile(dist, np.array([0.5]))[0]):
+                assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, loc)
+
+    @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf, laplace_quantile])
+    def test_zero_dim_array_gives_python_float(self, func):
+        dist = LaplaceDist(0.5, 2.0)
+        for x in (0.3, 0.7):
+            value = func(dist, np.asarray(x))
+            assert type(value) is float and value == func(dist, x)
+
+    def test_quantile_leaves_input_unchanged(self):
+        p = np.random.default_rng(2026).random(1000)
+        before = p.copy()
+        laplace_quantile(LaplaceDist(1.0, 2.0), p)
+        np.testing.assert_array_equal(p, before)
 
     @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf])
     @pytest.mark.parametrize("dist", SCALAR_DISTS)

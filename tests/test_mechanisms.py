@@ -311,6 +311,25 @@ class TestScalarPath:
         np.testing.assert_array_equal(scalar, batched)
         np.testing.assert_array_equal(np.signbit(scalar), np.signbit(batched))
 
+    def test_zero_dim_arrays_give_python_floats(self):
+        base = LaplaceDist(0.5, 2.0)
+        for x in (0.3, 0.7):
+            value = restricted_quantile(base, np.asarray(x))
+            assert type(value) is float and value == restricted_quantile(base, x)
+        for name in ("ramp", "translated-ramp", "softplus"):
+            pp = SCALAR_PATH_SPECS[name].postprocessor
+            for x in (-0.3, 0.7):
+                value = apply_postprocessor(pp, np.asarray(x))
+                assert type(value) is float and value == apply_postprocessor(pp, x)
+
+    def test_batched_primitives_leave_input_unchanged(self):
+        xs = np.random.default_rng(2026).random(1000)
+        before = xs.copy()
+        restricted_quantile(LaplaceDist(0.5, 2.0), xs)
+        for name in ("ramp", "translated-ramp", "softplus"):
+            apply_postprocessor(SCALAR_PATH_SPECS[name].postprocessor, xs)
+        np.testing.assert_array_equal(xs, before)
+
     def test_results_are_python_floats(self):
         base = LaplaceDist(np.float64(0.5), 2.0)
         for x in (0.3, np.float64(0.3), -0.3, np.float64(-0.3)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonneg_dp.bias import bias_bit, bias_restricted, bias_translated_ramp, optimal_alpha
-from nonneg_dp.distributions import LaplaceDist, laplace_pdf, log_laplace_mgf
+from nonneg_dp.distributions import LaplaceDist, laplace_pdf, laplace_quantile, log_laplace_mgf
 from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
@@ -13,6 +13,7 @@ from nonneg_dp.mechanisms import (
     make_postprocessed_mechanism,
     make_restricted_mechanism,
     restricted_pdf,
+    restricted_quantile,
 )
 from nonneg_dp.verify import (
     certify_dp_densities,
@@ -168,6 +169,13 @@ class TestCouplingBias:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             coupling_bias_lower_bound(LaplaceDist(0.0, 1.0), 99)
+
+    def test_both_quantiles_see_the_same_omega_grid(self):
+        # Neither quantile may write into the shared grid before the other reads it.
+        base, n = LaplaceDist(1.0, 0.5), 1000
+        omega = np.arange(1, n + 1, dtype=float) / (n + 1)
+        gap = restricted_quantile(base, omega.copy()) - laplace_quantile(base, omega.copy())
+        assert coupling_bias_lower_bound(base, n) == float(np.trapezoid(gap, omega))
 
 
 class TestDivergenceCheck:
