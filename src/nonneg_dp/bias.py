@@ -215,13 +215,20 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     the independent cross-check of :func:`closed_form_bias`.
 
     The additive variants integrate (output - q) times the density of the
-    noise z, so no E[output] ~ q is formed and then cancelled against q.
+    noise z, so no E[output] ~ q is formed and then cancelled against q.  The
+    multiplicative bias q E[e^z - 1] folds z and -z into the positive integrand
+    q exp(z(1 - 1/b)) expm1(-z)^2/(2b) on z >= 0: no cancellation, no overflow.
     """
     b = spec.scale
     if spec.variant is Variant.MULTIPLICATIVE:
         if b >= 1.0:
             return math.inf
-        return q * (truncated_exp_moment(b, _TAIL_RADII * b / (1.0 - b)) - 1.0)
+        # In t = z/b and over b^2 the integral is of order 1, so quad's absolute
+        # tolerance stays relative at small b; breaks at z = 1, 10, 40, where
+        # expm1(-z)^2 saturates, keep quad from missing it as b -> 1.
+        return q * b * b * _integrate(
+            lambda t: (math.expm1(-b * t) / b) ** 2 * math.exp((b - 1.0) * t) / 2.0,
+            0.0, _TAIL_RADII / (1.0 - b), [1.0 / b, 10.0 / b, 40.0 / b])
     _require_positive_scale(b)
     _require_nonnegative("q", q)
     lo, hi = -_TAIL_RADII * b, _TAIL_RADII * b

@@ -273,6 +273,18 @@ class TestSpecBias:
                 error = abs(mpmath.mpf(closed_form_bias(spec, q)) - exact)
                 assert error <= 4 * 2.0**-53 * exact + 2.0**-1074
 
+    @pytest.mark.parametrize("b", [1e-9, 1e-5, 1e-3, 0.1, 0.3, 0.6, 0.9, 0.947, 0.95, 0.99])
+    def test_multiplicative_quadrature_matches_mpmath(self, b):
+        # q*(truncated moment - 1) returned 0 at b = 1e-9 and was off by 8.3e-8
+        # (relative) at b = 1e-5; past b ~ 0.947 exp(x) overflowed.
+        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b, k_bound=b)
+        for q in (0.7, 3.0):
+            with mpmath.workdps(50):
+                b_ = mpmath.mpf(b)
+                exact = mpmath.mpf(q) * b_**2 / (1 - b_**2)
+                error = abs(mpmath.mpf(quadrature_bias(spec, q)) - exact)
+                assert error <= 1e-13 * exact
+
     def test_custom_postprocessor_has_quadrature_only(self):
         pp = PostProcessor.custom(lambda x: max(x, 0.0), scale=1.0)
         spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), pp)

@@ -258,6 +258,17 @@ class TestErrorHandling:
             run(*argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("kbound", ["0.95", "0.99"])
+    def test_multiplicative_quadrature_near_unit_scale(self, kbound, tmp_path, capsys):
+        # The quadrature raised OverflowError here, a traceback from the CLI.
+        out = tmp_path / "curve.csv"
+        assert run("bias-curve", "--mechanism", "multiplicative", "--epsilon", "1",
+                   "--kbound", kbound, "--q-min", "1", "--q-max", "1", "--q-points", "1",
+                   "--samples", "1000", "--out", str(out)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, [[_, closed, quad, _, _]], _ = read_csv_report(str(out))
+        assert quad == pytest.approx(closed, rel=1e-13)
+
     def test_unknown_mechanism_exits_via_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             run("bias-curve", "--mechanism", "bogus")
