@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,8 +243,14 @@ def read_csv_report(path: str) -> tuple[list[str], list[list], list[str]]:
 # subcommands
 
 def _build_spec(conf: ExperimentConfig) -> MechanismSpec:
-    spec = _CONSTRUCTORS[conf.mechanism](conf, PrivacyParams(conf.epsilon, conf.sensitivity))
-    return spec if conf.scale is None else replace(spec, scale=conf.scale)
+    privacy = PrivacyParams(conf.epsilon, conf.sensitivity)
+    if conf.scale is None:
+        return _CONSTRUCTORS[conf.mechanism](conf, privacy)
+    # Only the spec at the scale in use may warn, not the one --scale discards.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = _CONSTRUCTORS[conf.mechanism](conf, privacy)
+    return replace(spec, scale=conf.scale)
 
 
 def cmd_bias_curve(conf: ExperimentConfig) -> int:

@@ -197,33 +197,41 @@ class MechanismSpec:
     """Immutable description of one mechanism family, parameterized by the
     true query value at sampling time.
 
-    ``scale`` is the Laplace scale actually used.  ``fair_comparison`` marks a
-    restricted mechanism built with doubled scale so that its guaranteed
-    privacy level equals the stated epsilon rather than twice it.
+    ``scale`` is the Laplace scale actually used; the privacy level
+    (:func:`guaranteed_privacy_level`) and ``warning`` follow it, so
+    ``dataclasses.replace(spec, scale=...)`` keeps them right.  A spec warns
+    when it is made.
     """
 
     variant: Variant
     privacy: PrivacyParams
     scale: float
     postprocessor: PostProcessor | None = None
-    k_bound: float | None = None
-    fair_comparison: bool = False
-    warning: str | None = None
+
+    def __post_init__(self):
+        if self.warning is not None:
+            warnings.warn(self.warning)
+
+    @property
+    def warning(self) -> str | None:
+        """Degenerate noise or infinite moments at this scale; b = K/epsilon is
+        >= 1 iff K >= epsilon and >= 1/2 iff K >= epsilon/2."""
+        if self.scale == 0.0:
+            return "degenerate mechanism: zero sensitivity adds no noise"
+        if self.variant is not Variant.MULTIPLICATIVE or self.scale < 0.5:
+            return None
+        if self.scale >= 1.0:
+            return "relative bound >= epsilon: mechanism mean is infinite"
+        return "relative bound >= epsilon/2: mechanism variance is infinite"
 
 
 def make_laplace_mechanism(privacy: PrivacyParams) -> MechanismSpec:
     """Plain additive mechanism with the tight scale b = sensitivity/epsilon."""
-    warning = None
-    if privacy.sensitivity == 0.0:
-        warning = "degenerate mechanism: zero sensitivity adds no noise"
-        warnings.warn(warning)
-    return MechanismSpec(Variant.PLAIN, privacy, privacy.scale, warning=warning)
+    return MechanismSpec(Variant.PLAIN, privacy, privacy.scale)
 
 
 def make_postprocessed_mechanism(privacy: PrivacyParams, pp: PostProcessor) -> MechanismSpec:
-    base = make_laplace_mechanism(privacy)
-    return MechanismSpec(Variant.POST_PROCESSED, privacy, base.scale,
-                         postprocessor=pp, warning=base.warning)
+    return MechanismSpec(Variant.POST_PROCESSED, privacy, privacy.scale, postprocessor=pp)
 
 
 def make_restricted_mechanism(privacy: PrivacyParams, fair_comparison: bool = False) -> MechanismSpec:
@@ -233,39 +241,34 @@ def make_restricted_mechanism(privacy: PrivacyParams, fair_comparison: bool = Fa
     2*epsilon.  With ``fair_comparison`` the scale is doubled so the guarantee
     is exactly epsilon, making bias comparisons against post-processing fair.
     """
-    base = make_laplace_mechanism(privacy)
-    scale = 2.0 * base.scale if fair_comparison else base.scale
-    return MechanismSpec(Variant.RESTRICTED, privacy, scale,
-                         fair_comparison=fair_comparison, warning=base.warning)
+    scale = 2.0 * privacy.scale if fair_comparison else privacy.scale
+    return MechanismSpec(Variant.RESTRICTED, privacy, scale)
 
 
 def make_multiplicative_mechanism(epsilon: float, k_bound: float) -> MechanismSpec:
     """Release q * exp(noise) with b = k_bound/epsilon, for strictly positive queries.
 
-    Construction succeeds even when the bound is too large for finite moments;
-    a non-fatal warning is attached so divergence experiments can still run.
+    ``privacy.sensitivity`` holds k_bound.  Construction succeeds even when
+    the bound is too large for finite moments; the spec then warns, so
+    divergence experiments can still run.
     """
     if not (math.isfinite(k_bound) and k_bound > 0):
         raise ValueError(f"relative bound must be positive and finite, got {k_bound}")
     privacy = PrivacyParams(epsilon, k_bound)
-    warning = None
-    if k_bound >= epsilon:
-        warning = "relative bound >= epsilon: mechanism mean is infinite"
-    elif k_bound >= epsilon / 2.0:
-        warning = "relative bound >= epsilon/2: mechanism variance is infinite"
-    if warning is not None:
-        warnings.warn(warning)
-    return MechanismSpec(Variant.MULTIPLICATIVE, privacy, privacy.scale,
-                         k_bound=float(k_bound), warning=warning)
+    return MechanismSpec(Variant.MULTIPLICATIVE, privacy, privacy.scale)
 
 
 def guaranteed_privacy_level(spec: MechanismSpec) -> float:
-    """Privacy level the construction guarantees: epsilon for plain,
-    post-processed, and multiplicative; doubled for restriction unless the
-    scale was doubled instead."""
-    if spec.variant is Variant.RESTRICTED and not spec.fair_comparison:
-        return 2.0 * spec.privacy.epsilon
-    return spec.privacy.epsilon
+    """Level sensitivity/scale of the scale in use, doubled for restriction, as
+    epsilon*(privacy.scale/scale): exactly epsilon (2*epsilon for restriction
+    at the tight scale) at the constructors' scales, 0 at zero sensitivity
+    (adjacent data give one output law), inf for a noiseless positive one."""
+    if spec.privacy.sensitivity == 0.0:
+        return 0.0
+    if spec.scale == 0.0:
+        return math.inf
+    factor = 2.0 if spec.variant is Variant.RESTRICTED else 1.0
+    return factor * spec.privacy.epsilon * (spec.privacy.scale / spec.scale)
 
 
 def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, np.ndarray]:

@@ -123,7 +123,7 @@ def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
         raise ValueError("need at least 100 draws for a standard error")
     rng = RngState(seed)
     warning = spec.warning
-    if spec.variant is Variant.MULTIPLICATIVE and spec.k_bound >= spec.privacy.epsilon:
+    if spec.variant is Variant.MULTIPLICATIVE and spec.scale >= 1.0:
         warning = "mean is infinite: the estimate will not stabilize"
     draws = sample_mechanism(spec, q, rng, size=n)
     mean = float(np.mean(draws)) - q

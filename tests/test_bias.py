@@ -265,7 +265,7 @@ class TestSpecBias:
     def test_multiplicative_closed_form_matches_mpmath(self, b):
         # q(1/(1 - b^2) - 1) cancelled to exactly 0 at b = 1e-9.  Results
         # below the subnormal range round to 0, hence the absolute floor.
-        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b, k_bound=b)
+        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b)
         for q in (1e-200, 0.7, 3.0, 1e200):
             with mpmath.workdps(50):
                 b_ = mpmath.mpf(b)
@@ -277,7 +277,7 @@ class TestSpecBias:
     def test_multiplicative_quadrature_matches_mpmath(self, b):
         # q*(truncated moment - 1) returned 0 at b = 1e-9 and was off by 8.3e-8
         # (relative) at b = 1e-5; past b ~ 0.947 exp(x) overflowed.
-        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b, k_bound=b)
+        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b)
         for q in (0.7, 3.0):
             with mpmath.workdps(50):
                 b_ = mpmath.mpf(b)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,48 @@ class TestMcValidate:
         header, rows, _ = read_csv_report(str(out))
         assert header[-1] == "warning"
         assert all("infinite" in row[5] for row in rows)
+
+
+def run_recording_warnings(*argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    return code, [str(w.message) for w in caught]
+
+
+class TestScaleOverride:
+    """--scale sets the privacy level and the warnings, not just the noise."""
+
+    def test_verify_dp_claims_the_level_of_the_scale_in_use(self, tmp_path):
+        # b = 0.5 with sensitivity 1 is a level-2 mechanism, not level 1.
+        out = tmp_path / "cert.json"
+        code, caught = run_recording_warnings(
+            "verify-dp", "--mechanism", "laplace", "--epsilon", "1", "--sensitivity", "1",
+            "--scale", "0.5", "--out", str(out))
+        assert code == 0 and caught == []
+        cert = json.loads(out.read_text())
+        assert cert["epsilon_claimed"] == 2.0 and cert["passed"] is True
+
+    @pytest.mark.parametrize("argv,closed,warning", [
+        (["--mechanism", "multiplicative", "--kbound", "0.3", "--scale", "1.5"], math.inf,
+         "mean is infinite"),
+        (["--mechanism", "multiplicative", "--kbound", "1.5", "--scale", "0.3"],
+         0.098901098901098911, None),
+        (["--mechanism", "laplace", "--sensitivity", "0", "--scale", "0.5"], 0.0, None),
+    ], ids=["multiplicative-infinite-mean", "multiplicative-finite-mean", "zero-sensitivity"])
+    def test_mc_validate_warns_about_the_scale_in_use(self, argv, closed, warning, tmp_path):
+        out = tmp_path / "mc.csv"
+        code, caught = run_recording_warnings(
+            "mc-validate", *argv, "--epsilon", "1", "--q-min", "1", "--q-max", "1",
+            "--q-points", "1", "--samples", "1000", "--out", str(out))
+        assert code == 0
+        _, [row], _ = read_csv_report(str(out))
+        assert row[1] == closed
+        if warning is None:
+            assert row[5] == "" and caught == []
+        else:
+            assert warning in row[5]
+            assert caught and all(warning in message for message in caught)
 
 
 class TestQueryInfo:

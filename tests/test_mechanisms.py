@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +129,96 @@ class TestFactories:
         mult = make_multiplicative_mechanism(1.0, 0.4)
         assert mult.warning is None
         assert mult.scale == pytest.approx(0.4)
+
+
+_DEGENERATE = "degenerate mechanism: zero sensitivity adds no noise"
+_MEAN_INFINITE = "relative bound >= epsilon: mechanism mean is infinite"
+_VARIANCE_INFINITE = "relative bound >= epsilon/2: mechanism variance is infinite"
+
+
+def _made_with_warnings(make):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = make()
+    return spec, [str(w.message) for w in caught]
+
+
+class TestLevelAndWarningFollowScale:
+    """The level and warning come from the scale in use.  At the constructors'
+    scales they equal the formulas in epsilon and the sensitivity: level
+    epsilon (2*epsilon for restriction at the tight scale; 0 at zero
+    sensitivity), a degenerate warning at zero sensitivity, and infinite
+    moments for K >= epsilon or K >= epsilon/2."""
+
+    def test_additive_constructors(self):
+        rng = np.random.default_rng(2024)
+        pairs = list(zip(10.0 ** rng.uniform(-3, 3, 100), 10.0 ** rng.uniform(-3, 3, 100)))
+        pairs += [(eps, 0.0) for eps in (1e-3, 0.7, 1.0, 1e3)]
+        for eps, delta in pairs:
+            privacy = PrivacyParams(float(eps), float(delta))
+            expected_warning = _DEGENERATE if delta == 0.0 else None
+            for make, level in [
+                (lambda: make_laplace_mechanism(privacy), eps),
+                (lambda: make_postprocessed_mechanism(privacy, PostProcessor.ramp()), eps),
+                (lambda: make_postprocessed_mechanism(privacy, PostProcessor.translated_ramp(0.3)), eps),
+                (lambda: make_restricted_mechanism(privacy), 2.0 * eps),
+                (lambda: make_restricted_mechanism(privacy, fair_comparison=True), eps),
+            ]:
+                spec, caught = _made_with_warnings(make)
+                assert guaranteed_privacy_level(spec) == (level if delta > 0.0 else 0.0)
+                assert spec.warning == expected_warning
+                assert caught == ([expected_warning] if expected_warning else [])
+
+    def test_multiplicative_constructor_at_the_moment_thresholds(self):
+        rng = np.random.default_rng(2025)
+        for eps in [1.0, 0.7, 3.0, *(10.0 ** rng.uniform(-3, 3, 50))]:
+            eps = float(eps)
+            bounds = [eps, math.nextafter(eps, 0.0), eps / 2.0, math.nextafter(eps / 2.0, 0.0)]
+            bounds += [float(eps * k) for k in 10.0 ** rng.uniform(-2, 1, 20)]
+            for k in bounds:
+                expected = (_MEAN_INFINITE if k >= eps else
+                            _VARIANCE_INFINITE if k >= eps / 2.0 else None)
+                spec, caught = _made_with_warnings(lambda: make_multiplicative_mechanism(eps, k))
+                assert spec.warning == expected, (eps, k)
+                assert caught == ([expected] if expected else [])
+                assert guaranteed_privacy_level(spec) == eps
+
+    def test_replaced_scale_sets_level_and_warning(self):
+        privacy = PrivacyParams(0.8, 1.5)
+        plain = make_laplace_mechanism(privacy)
+        assert guaranteed_privacy_level(replace(plain, scale=2.5)) == pytest.approx(0.6, rel=2**-52)
+        restricted = make_restricted_mechanism(PrivacyParams(0.5, 1.0))
+        assert guaranteed_privacy_level(replace(restricted, scale=2.5)) == pytest.approx(0.8, rel=2**-52)
+        mult = make_multiplicative_mechanism(1.0, 0.3)
+        assert guaranteed_privacy_level(replace(mult, scale=2.5)) == pytest.approx(0.12, rel=2**-52)
+        spec, caught = _made_with_warnings(lambda: replace(mult, scale=1.5))
+        assert spec.warning == _MEAN_INFINITE and caught == [_MEAN_INFINITE]
+        spec, caught = _made_with_warnings(lambda: replace(mult, scale=0.6))
+        assert spec.warning == _VARIANCE_INFINITE and caught == [_VARIANCE_INFINITE]
+        with pytest.warns(UserWarning):
+            divergent = make_multiplicative_mechanism(1.0, 1.5)
+        spec, caught = _made_with_warnings(lambda: replace(divergent, scale=0.3))
+        assert spec.warning is None and caught == []
+
+    def test_zero_sensitivity_level(self):
+        # Adjacent data give one output law, with or without noise; a positive
+        # sensitivity without noise has no finite level.
+        with pytest.warns(UserWarning, match="degenerate"):
+            plain = make_laplace_mechanism(PrivacyParams(0.7, 0.0))
+            restricted = make_restricted_mechanism(PrivacyParams(0.7, 0.0))
+        assert guaranteed_privacy_level(plain) == 0.0
+        assert guaranteed_privacy_level(restricted) == 0.0
+        noisy, caught = _made_with_warnings(lambda: replace(plain, scale=0.5))
+        assert guaranteed_privacy_level(noisy) == 0.0
+        assert noisy.warning is None and caught == []
+        with pytest.warns(UserWarning, match="degenerate"):
+            noiseless = replace(make_laplace_mechanism(PrivacyParams(0.7, 1.0)), scale=0.0)
+        assert guaranteed_privacy_level(noiseless) == math.inf
+
+    def test_spec_has_only_its_four_fields(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(MechanismSpec)] == ["variant", "privacy", "scale",
+                                                            "postprocessor"]
 
 
 class TestRestrictedLaw:
@@ -393,9 +485,9 @@ class TestDensityRatioCertificates:
         level = guaranteed_privacy_level(spec)
         rng = np.random.default_rng(102)
         # adjacent queries sit at log-distance at most the relative bound
-        pairs = [(q, q * math.exp(spec.k_bound)) for q in rng.uniform(0.5, 3, 50)]
+        pairs = [(q, q * math.exp(spec.privacy.sensitivity)) for q in rng.uniform(0.5, 3, 50)]
         pairs += [(q, q * math.exp(g)) for q, g in
-                  zip(rng.uniform(0.5, 3, 50), rng.uniform(0, spec.k_bound, 50))]
+                  zip(rng.uniform(0.5, 3, 50), rng.uniform(0, spec.privacy.sensitivity, 50))]
         for q, qp in pairs:
             locs = (math.log(q), math.log(qp))
             grid = np.linspace(min(locs) - 10 * spec.scale, max(locs) + 10 * spec.scale, 2000)
