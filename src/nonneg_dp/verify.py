@@ -98,14 +98,15 @@ def certify_dp_densities(density_a: Callable, density_b: Callable, eps: float,
                          grid: Sequence[float]) -> DpCertificate:
     """Grid supremum of |log(density_a/density_b)| checked against eps.
 
-    A pointwise density-ratio bound implies the measure-level privacy
-    inequality, so passing is sufficient (not necessary) evidence.
+    Each density is called once, on the whole grid array, and returns the
+    array of its values.  A pointwise density-ratio bound implies the
+    measure-level privacy inequality, so passing is sufficient (not
+    necessary) evidence.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
         raise ValueError("grid must be non-empty")
-    fa = np.asarray([density_a(float(x)) for x in xs], dtype=float)
-    fb = np.asarray([density_b(float(x)) for x in xs], dtype=float)
+    fa, fb = np.asarray(density_a(xs), dtype=float), np.asarray(density_b(xs), dtype=float)
     if np.any(fa <= 0) or np.any(fb <= 0):
         raise ValueError("densities must be strictly positive on the grid")
     max_log_ratio = float(np.max(np.abs(np.log(fa) - np.log(fb))))

@@ -8,6 +8,7 @@ from nonneg_dp.distributions import LaplaceDist, laplace_pdf, laplace_quantile, 
 from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
+    adjacent_densities,
     make_laplace_mechanism,
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
@@ -63,6 +64,28 @@ class TestCertifyDpDensities:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             certify_dp_densities(lambda x: 1.0, lambda x: 1.0, 1.0, [])
+
+    def test_calls_each_density_once_on_the_grid_array(self):
+        calls = []
+
+        def density(x):
+            calls.append(x)
+            return laplace_pdf(LaplaceDist(0.0, 1.0), x)
+
+        certify_dp_densities(density, density, 1.0, np.linspace(-3.0, 3.0, 50))
+        assert [(type(x), x.shape) for x in calls] == [(np.ndarray, (50,))] * 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_laplace_mechanism(PrivacyParams(0.8, 1.5)),
+        lambda: make_restricted_mechanism(PrivacyParams(0.5, 1.0)),
+        lambda: make_multiplicative_mechanism(1.0, 0.3),
+    ], ids=["laplace", "restricted", "multiplicative"])
+    def test_array_evaluation_equals_pointwise(self, make):
+        density_a, density_b, grid = adjacent_densities(make())
+        fa = np.array([density_a(float(x)) for x in grid])
+        fb = np.array([density_b(float(x)) for x in grid])
+        pointwise = float(np.max(np.abs(np.log(fa) - np.log(fb))))
+        assert certify_dp_densities(density_a, density_b, 1.0, grid).max_log_ratio_observed == pointwise
 
 
 class TestMcBias:
