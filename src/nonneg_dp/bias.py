@@ -207,7 +207,7 @@ def closed_form_bias(spec: MechanismSpec, q: float) -> float:
     pp = spec.postprocessor
     if pp.kind == "custom":
         raise ValueError("custom post-processors have no closed-form bias")
-    return bias_bit(q, b) if pp.alpha == 0.0 else bias_translated_ramp(q, pp.alpha, b)
+    return bias_translated_ramp(q, pp.alpha, b)
 
 
 def quadrature_bias(spec: MechanismSpec, q: float) -> float:

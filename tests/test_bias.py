@@ -62,6 +62,16 @@ class TestBitBias:
         with pytest.raises(ValueError):
             bias_bit(-0.1, 1.0)
 
+    @pytest.mark.parametrize("b", [1e-300, 1e-100, 1e-13, 1.0, 1e5, 1e100, 1e300])
+    def test_equals_translated_ramp_at_zero_translation(self, b):
+        # closed_form_bias gives the ramp through bias_translated_ramp alone.
+        rng = np.random.default_rng(int(-math.log10(b)) + 400)
+        spec = MechanismSpec(Variant.POST_PROCESSED, PrivacyParams(1.0, b), b, PostProcessor.ramp())
+        for q in [0.0, b, *(b * 10.0 ** rng.uniform(-20, 6, 2000))]:
+            clamped = bias_bit(q, b)
+            ramp = closed_form_bias(spec, q)
+            assert ramp == clamped and math.copysign(1.0, ramp) == math.copysign(1.0, clamped)
+
 
 class TestTranslatedRampExpectation:
     def test_branch_above_translation(self):
