@@ -231,19 +231,22 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
             0.0, _TAIL_RADII / (1.0 - b), [1.0 / b, 10.0 / b, 40.0 / b])
     _require_positive_scale(b)
     _require_nonnegative("q", q)
-    lo, hi = -_TAIL_RADII * b, _TAIL_RADII * b
+    # In t = z/b each integrand is of order 1, so quad's absolute tolerance
+    # stays relative at tiny b; the bias is b times the integral.
+    lo, hi = -_TAIL_RADII, _TAIL_RADII
     if spec.variant is Variant.PLAIN:
-        return _integrate(lambda z: z * math.exp(-abs(z) / b) / (2.0 * b), lo, hi, [0.0])
+        return b * _integrate(lambda t: t * math.exp(-abs(t)) / 2.0, lo, hi, [0.0])
     if spec.variant is Variant.RESTRICTED:
         base = LaplaceDist(q, b)
-        return _integrate(lambda z: z * restricted_pdf(base, q + z), max(lo, -q), hi, [0.0])
+        return b * _integrate(lambda t: t * b * restricted_pdf(base, q + b * t),
+                              max(lo, -q / b), hi, [0.0])
     pp = spec.postprocessor
-    points = [0.0] if pp.kind == "custom" else [0.0, pp.alpha - q]
+    points = [0.0] if pp.kind == "custom" else [0.0, (pp.alpha - q) / b]
 
-    def excess(z: float) -> float:
-        return (apply_postprocessor(pp, q + z) - q) * math.exp(-abs(z) / b) / (2.0 * b)
+    def excess(t: float) -> float:
+        return (apply_postprocessor(pp, q + b * t) - q) / b * math.exp(-abs(t)) / 2.0
 
-    return _integrate(excess, lo, hi, points)
+    return b * _integrate(excess, lo, hi, points)
 
 
 class NumericSup(NamedTuple):

@@ -317,6 +317,41 @@ class TestSpecBias:
         assert gap <= 1e-12 * (q + b)
 
 
+def _mp_additive_bias(variant, q, b, alpha):
+    """Bias at 50 digits: 0 (plain), the translated ramp, or restriction."""
+    with mpmath.workdps(50):
+        q, b, alpha = mpmath.mpf(q), mpmath.mpf(b), mpmath.mpf(alpha)
+        if variant is Variant.PLAIN:
+            return mpmath.mpf(0)
+        if variant is Variant.RESTRICTED:
+            return (q + b) / (2 * mpmath.exp(q / b) - 1)
+        if q >= alpha:
+            return b / 2 * mpmath.exp((alpha - q) / b) - alpha
+        return b / 2 * mpmath.exp((q - alpha) / b) - q
+
+
+class TestTinyScaleQuadrature:
+    """quadrature_bias of the additive variants stays relative at tiny b;
+    quad's absolute tolerance 1e-12 once cost 1.2e-10 relative at b <= 1e-12."""
+
+    @pytest.mark.parametrize("b", [1e-12, 1e-20, 1e-300, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("variant,alpha_over_b", [
+        (Variant.PLAIN, 0.0),
+        (Variant.POST_PROCESSED, 0.0),
+        (Variant.POST_PROCESSED, 0.35173371124919584),
+        (Variant.POST_PROCESSED, 2.0),
+        (Variant.RESTRICTED, 0.0),
+    ], ids=["plain", "ramp", "translated-optimal", "translated-2b", "restricted"])
+    def test_matches_mpmath(self, b, variant, alpha_over_b):
+        alpha = alpha_over_b * b
+        pp = PostProcessor.translated_ramp(alpha) if variant is Variant.POST_PROCESSED else None
+        spec = MechanismSpec(variant, PrivacyParams(1.0, b), b, pp)
+        for q in (0.0, 0.5 * b, 2.0 * b, 10.0 * b):
+            exact = _mp_additive_bias(variant, q, b, alpha)
+            error = abs(mpmath.mpf(quadrature_bias(spec, q)) - exact)
+            assert error <= 1e-15 * (q + b), (q, float(error / (q + b)))
+
+
 class TestQuadratureEngine:
     def test_ramp_matches_closed_form(self):
         pp = PostProcessor.ramp()
