@@ -243,14 +243,10 @@ def read_csv_report(path: str) -> tuple[list[str], list[list], list[str]]:
 # subcommands
 
 def _build_spec(conf: ExperimentConfig) -> MechanismSpec:
-    privacy = PrivacyParams(conf.epsilon, conf.sensitivity)
-    if conf.scale is None:
-        return _CONSTRUCTORS[conf.mechanism](conf, privacy)
-    # Only the spec at the scale in use may warn, not the one --scale discards.
-    with warnings.catch_warnings():
+    with warnings.catch_warnings():  # the replaced spec warns, at the scale in use
         warnings.simplefilter("ignore")
-        spec = _CONSTRUCTORS[conf.mechanism](conf, privacy)
-    return replace(spec, scale=conf.scale)
+        spec = _CONSTRUCTORS[conf.mechanism](conf, PrivacyParams(conf.epsilon, conf.sensitivity))
+    return replace(spec, scale=spec.scale if conf.scale is None else conf.scale)
 
 
 def cmd_bias_curve(conf: ExperimentConfig) -> int:

@@ -194,14 +194,10 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """Immutable description of one mechanism family, parameterized by the
-    true query value at sampling time.
-
-    ``scale`` is the Laplace scale actually used; the privacy level
-    (:func:`guaranteed_privacy_level`) and ``warning`` follow it, so
-    ``dataclasses.replace(spec, scale=...)`` keeps them right.  A spec warns
-    when it is made.
-    """
+    """One mechanism family at the Laplace scale ``scale`` it uses, parameterized
+    by the true query value at sampling time.  Its privacy level
+    (:func:`guaranteed_privacy_level`) and ``warning`` follow ``scale``, also
+    through ``dataclasses.replace``; a spec warns when it is made."""
 
     variant: Variant
     privacy: PrivacyParams
@@ -248,10 +244,8 @@ def make_restricted_mechanism(privacy: PrivacyParams, fair_comparison: bool = Fa
 def make_multiplicative_mechanism(epsilon: float, k_bound: float) -> MechanismSpec:
     """Release q * exp(noise) with b = k_bound/epsilon, for strictly positive queries.
 
-    ``privacy.sensitivity`` holds k_bound.  Construction succeeds even when
-    the bound is too large for finite moments; the spec then warns, so
-    divergence experiments can still run.
-    """
+    Construction succeeds even when the bound is too large for finite moments;
+    the spec then warns, so divergence experiments can still run."""
     if not (math.isfinite(k_bound) and k_bound > 0):
         raise ValueError(f"relative bound must be positive and finite, got {k_bound}")
     privacy = PrivacyParams(epsilon, k_bound)
@@ -263,22 +257,20 @@ def guaranteed_privacy_level(spec: MechanismSpec) -> float:
     epsilon*(privacy.scale/scale): exactly epsilon (2*epsilon for restriction
     at the tight scale) at the constructors' scales, 0 at zero sensitivity
     (adjacent data give one output law), inf for a noiseless positive one."""
-    if spec.privacy.sensitivity == 0.0:
+    privacy, b = spec.privacy, spec.scale
+    if privacy.sensitivity == 0.0:
         return 0.0
-    if spec.scale == 0.0:
-        return math.inf
     factor = 2.0 if spec.variant is Variant.RESTRICTED else 1.0
-    return factor * spec.privacy.epsilon * (spec.privacy.scale / spec.scale)
+    return factor * privacy.epsilon * (privacy.scale / b) if b > 0.0 else math.inf
 
 
 def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, np.ndarray]:
     """Output densities at two adjacent query values and a grid covering both,
     the inputs of :func:`nonneg_dp.verify.certify_dp_densities`.
 
-    Plain and restricted mechanisms are compared at q = 0 and q = sensitivity.
-    The multiplicative mechanism is compared in the log domain, where adjacent
-    queries lie within log-distance k_bound (its ``privacy.sensitivity``).
-    Post-processed mechanisms have no closed-form density: ValueError.
+    Plain and restricted mechanisms are compared at q = 0 and q = sensitivity,
+    the multiplicative one in the log domain, where adjacent queries lie within
+    log-distance K = ``privacy.sensitivity``.  Post-processed ones: ValueError.
     """
     if spec.variant is Variant.POST_PROCESSED:
         raise ValueError("post-processed mechanisms have no closed-form density to certify")

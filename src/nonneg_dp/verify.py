@@ -96,12 +96,11 @@ class DivergenceReport:
 
 def certify_dp_densities(density_a: Callable, density_b: Callable, eps: float,
                          grid: Sequence[float]) -> DpCertificate:
-    """Grid supremum of |log(density_a/density_b)| checked against eps.
+    """Grid supremum of |log(density_a/density_b)| checked against eps; each
+    density takes the grid array and returns its values there.
 
-    Each density is called once, on the whole grid array, and returns the
-    array of its values.  A pointwise density-ratio bound implies the
-    measure-level privacy inequality, so passing is sufficient (not
-    necessary) evidence.
+    A pointwise density-ratio bound implies the measure-level privacy
+    inequality, so passing is sufficient (not necessary) evidence.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
