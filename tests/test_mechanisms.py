@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -216,7 +216,6 @@ class TestLevelAndWarningFollowScale:
         assert guaranteed_privacy_level(noiseless) == math.inf
 
     def test_spec_has_only_its_four_fields(self):
-        from dataclasses import fields
         assert [f.name for f in fields(MechanismSpec)] == ["variant", "privacy", "scale",
                                                             "postprocessor"]
 
