@@ -2,7 +2,8 @@
 
 Emits plot-ready CSV for curves and JSON for scalar reports, all floats fixed
 to 17 significant digits so identical seeds give byte-identical files.
-Parameters come from flags or a JSON config file (flags win).  Every
+Each option is declared once, on its flag; a JSON ``--config`` file goes
+through the same parse, and flags on the command line win.  Every
 mechanism fact (scale, privacy level, warning, bias, density) comes from the
 library.  Exit codes: 0 success, 1 verification failure, 2 usage or
 configuration error, including a domain error raised by the library.
@@ -16,7 +17,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,20 +36,17 @@ from .mechanisms import (
 from .queries import Dataset, QueryDescriptor, QueryKind, evaluate_query, load_records, relative_bound_K, sensitivity
 from .verify import certify_dp_densities, mc_bias
 
-__all__ = ["ExperimentConfig", "main", "read_csv_report"]
+__all__ = ["main"]
 
-SEED_ENV_VAR = "NONNEG_DP_SEED"
-
-# Mechanism name -> spec built from the config and its (epsilon, sensitivity).
+# Mechanism name -> spec built from the flags and their (epsilon, sensitivity).
 _CONSTRUCTORS = {
-    "laplace": lambda conf, privacy: make_laplace_mechanism(privacy),
-    "bit": lambda conf, privacy: make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
-    "ramp": lambda conf, privacy: make_postprocessed_mechanism(
-        privacy, PostProcessor.translated_ramp(conf.alpha)),
-    "restricted": lambda conf, privacy: make_restricted_mechanism(privacy),
-    "multiplicative": lambda conf, privacy: make_multiplicative_mechanism(conf.epsilon, conf.kbound),
+    "laplace": lambda args, privacy: make_laplace_mechanism(privacy),
+    "bit": lambda args, privacy: make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
+    "ramp": lambda args, privacy: make_postprocessed_mechanism(
+        privacy, PostProcessor.translated_ramp(args.alpha)),
+    "restricted": lambda args, privacy: make_restricted_mechanism(privacy),
+    "multiplicative": lambda args, privacy: make_multiplicative_mechanism(args.epsilon, args.kbound),
 }
-_MECHANISMS = tuple(_CONSTRUCTORS)
 _QUERY_NAMES = {"count": QueryKind.COUNT_ABOVE_THRESHOLD,
                 "sum": QueryKind.BOUNDED_SUM,
                 "mean": QueryKind.BOUNDED_MEAN}
@@ -65,73 +63,6 @@ def __getattr__(name: str):
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    mechanism: str = "bit"
-    epsilon: float = 1.0
-    sensitivity: float = 1.0
-    scale: float | None = None
-    alpha: float = 0.0
-    kbound: float | None = None
-    claimed: float | None = None
-    q_min: float = 0.0
-    q_max: float = 10.0
-    q_points: int = 21
-    q_log: bool = False
-    samples: int = 100_000
-    seed: int = 0
-    out: str | None = None
-    format: str | None = None
-    data: str | None = None
-    lower: float = 0.0
-    upper: float = 1.0
-    lower_open: bool = False
-    query: str = "mean"
-    threshold: float = 0.0
-    count_floor: int | None = None
-
-    def validate(self) -> None:
-        if self.mechanism not in _MECHANISMS:
-            raise UsageError(f"unknown mechanism {self.mechanism!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
-        if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0):
-            raise UsageError(f"sensitivity must be nonnegative, got {self.sensitivity}")
-        if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
-            raise UsageError(f"scale must be positive, got {self.scale}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise UsageError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.kbound is not None and not (math.isfinite(self.kbound) and self.kbound > 0):
-            raise UsageError(f"kbound must be positive, got {self.kbound}")
-        if self.mechanism == "multiplicative" and self.kbound is None:
-            raise UsageError("multiplicative mechanism requires --kbound")
-        if not (math.isfinite(self.q_min) and self.q_min >= 0):
-            raise UsageError(f"q-min must be nonnegative, got {self.q_min}")
-        if not (math.isfinite(self.q_max) and self.q_max >= self.q_min):
-            raise UsageError("q-max must be at least q-min")
-        if self.q_points < 1:
-            raise UsageError("q-points must be at least 1")
-        if self.q_log and self.q_min <= 0:
-            raise UsageError("logarithmic q grid requires q-min > 0")
-        if self.samples < 100:
-            raise UsageError("samples must be at least 100")
-        if self.format not in (None, "csv", "json"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.query not in _QUERY_NAMES:
-            raise UsageError(f"unknown query {self.query!r}")
-
-    def q_grid(self) -> np.ndarray:
-        if self.q_points == 1:
-            return np.array([self.q_min])
-        if self.q_log:
-            return np.geomspace(self.q_min, self.q_max, self.q_points)
-        return np.linspace(self.q_min, self.q_max, self.q_points)
-
-    def row_seeds(self, count: int) -> list[int]:
-        return [int(s) for s in np.random.SeedSequence(self.seed).generate_state(count, np.uint64)]
 
 
 # --------------------------------------------------------------------------
@@ -189,84 +120,69 @@ def _emit_csv(out: str | None, header: list[str], rows: list[list], summary: str
     _write_text(out, "\n".join(lines) + "\n")
 
 
-def _emit_report(conf: ExperimentConfig, header: list[str], rows: list[list],
+def _emit_report(args: argparse.Namespace, header: list[str], rows: list[list],
                  summary: str | None = None) -> None:
-    fmt = conf.format or "csv"
-    if fmt == "csv":
-        _emit_csv(conf.out, header, rows, summary)
+    if (args.format or "csv") == "csv":
+        _emit_csv(args.out, header, rows, summary)
         return
-    records = [dict(zip(header, row)) for row in rows]
-    payload: dict = {"rows": records}
+    payload: dict = {"rows": [dict(zip(header, row)) for row in rows]}
     if summary is not None:
         payload["summary"] = summary
-    _write_text(conf.out, _json_render(payload) + "\n")
+    _write_text(args.out, _json_render(payload) + "\n")
 
 
-def _emit_scalar(conf: ExperimentConfig, record: dict) -> None:
-    fmt = conf.format or "json"
-    if fmt == "json":
-        _write_text(conf.out, _json_render(record) + "\n")
+def _emit_scalar(args: argparse.Namespace, record: dict) -> None:
+    if (args.format or "json") == "json":
+        _write_text(args.out, _json_render(record) + "\n")
         return
-    _emit_csv(conf.out, ["key", "value"], [[k, v] for k, v in record.items()])
-
-
-def read_csv_report(path: str) -> tuple[list[str], list[list], list[str]]:
-    """Parse a CSV report back into header, typed rows, and summary lines."""
-    header: list[str] = []
-    rows: list[list] = []
-    summaries: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                summaries.append(line[1:].strip())
-                continue
-            if not header:
-                header = line.split(",")
-                continue
-            row = []
-            for cell in line.split(","):
-                if cell == "":
-                    row.append("")
-                    continue
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(row)
-    return header, rows, summaries
+    _emit_csv(args.out, ["key", "value"], [[k, v] for k, v in record.items()])
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
-def _build_spec(conf: ExperimentConfig) -> MechanismSpec:
+def _build_spec(args: argparse.Namespace) -> MechanismSpec:
+    if args.mechanism == "multiplicative" and args.kbound is None:
+        raise UsageError("--mechanism multiplicative needs --kbound")
     with warnings.catch_warnings():  # the replaced spec warns, at the scale in use
         warnings.simplefilter("ignore")
-        spec = _CONSTRUCTORS[conf.mechanism](conf, PrivacyParams(conf.epsilon, conf.sensitivity))
-    return replace(spec, scale=spec.scale if conf.scale is None else conf.scale)
+        spec = _CONSTRUCTORS[args.mechanism](args, PrivacyParams(args.epsilon, args.sensitivity))
+    return replace(spec, scale=spec.scale if args.scale is None else args.scale)
 
 
-def cmd_bias_curve(conf: ExperimentConfig) -> int:
-    spec = _build_spec(conf)
-    grid = conf.q_grid()
+def _q_grid(args: argparse.Namespace) -> list[float]:
+    if args.q_max < args.q_min:
+        raise UsageError("--q-max must be at least --q-min")
+    if args.q_log and args.q_min <= 0:
+        raise UsageError("--q-log needs --q-min > 0")
+    if args.q_points == 1:
+        return [args.q_min]
+    space = np.geomspace if args.q_log else np.linspace
+    return space(args.q_min, args.q_max, args.q_points).tolist()
+
+
+def _row_seeds(seed: int, count: int) -> list[int]:
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+
+
+def cmd_bias_curve(args: argparse.Namespace) -> int:
+    spec = _build_spec(args)
+    grid = _q_grid(args)
     rows = []
-    for q, seed in zip(grid.tolist(), conf.row_seeds(len(grid))):
-        estimate = mc_bias(spec, q, conf.samples, seed)
+    for q, seed in zip(grid, _row_seeds(args.seed, len(grid))):
+        estimate = mc_bias(spec, q, args.samples, seed)
         rows.append([q, bias_mod.closed_form_bias(spec, q), bias_mod.quadrature_bias(spec, q),
                      estimate.mean, estimate.stderr])
-    _emit_report(conf, ["q", "bias_closed_form", "bias_quadrature", "bias_mc", "mc_stderr"], rows)
+    _emit_report(args, ["q", "bias_closed_form", "bias_quadrature", "bias_mc", "mc_stderr"], rows)
     return 0
 
 
-def cmd_optimal_alpha(conf: ExperimentConfig) -> int:
-    b = _build_spec(conf).scale
+def cmd_optimal_alpha(args: argparse.Namespace) -> int:
+    b = _build_spec(args).scale
     alpha_star = bias_mod.optimal_alpha(b)
     at_star = bias_mod.max_abs_bias_translated_ramp(alpha_star, b)
     at_zero = bias_mod.max_abs_bias_translated_ramp(0.0, b)
-    _emit_scalar(conf, {
+    _emit_scalar(args, {
         "b": b,
         "alpha_star": alpha_star,
         "B_at_alpha_star": at_star,
@@ -276,24 +192,24 @@ def cmd_optimal_alpha(conf: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_compare(conf: ExperimentConfig) -> int:
-    privacy = PrivacyParams(conf.epsilon, conf.sensitivity)
+def cmd_compare(args: argparse.Namespace) -> int:
+    privacy = PrivacyParams(args.epsilon, args.sensitivity)
     clamped = make_postprocessed_mechanism(privacy, PostProcessor.ramp())
     restricted = make_restricted_mechanism(privacy, fair_comparison=True)
     rows = [[q, bias_mod.closed_form_bias(clamped, q), bias_mod.closed_form_bias(restricted, q),
-             bias_mod.bias_ratio_restricted_vs_bit(q, conf.epsilon, conf.sensitivity)]
-            for q in conf.q_grid().tolist()]
-    _emit_report(conf, ["q", "bias_bit", "bias_restricted_same_eps", "ratio"], rows)
+             bias_mod.bias_ratio_restricted_vs_bit(q, args.epsilon, args.sensitivity)]
+            for q in _q_grid(args)]
+    _emit_report(args, ["q", "bias_bit", "bias_restricted_same_eps", "ratio"], rows)
     return 0
 
 
-def cmd_verify_dp(conf: ExperimentConfig) -> int:
-    spec = _build_spec(conf)
+def cmd_verify_dp(args: argparse.Namespace) -> int:
+    spec = _build_spec(args)
     density_a, density_b, grid = adjacent_densities(spec)
-    claimed = conf.claimed if conf.claimed is not None else guaranteed_privacy_level(spec)
+    claimed = args.claimed if args.claimed is not None else guaranteed_privacy_level(spec)
     certificate = certify_dp_densities(density_a, density_b, claimed, grid)
-    _emit_scalar(conf, {
-        "mechanism": conf.mechanism,
+    _emit_scalar(args, {
+        "mechanism": args.mechanism,
         "epsilon_claimed": certificate.epsilon_claimed,
         "max_log_ratio_observed": certificate.max_log_ratio_observed,
         "grid_description": certificate.grid_description,
@@ -302,147 +218,174 @@ def cmd_verify_dp(conf: ExperimentConfig) -> int:
     return 0 if certificate.passed else 1
 
 
-def cmd_mc_validate(conf: ExperimentConfig) -> int:
-    spec = _build_spec(conf)
-    grid = conf.q_grid()
+def cmd_mc_validate(args: argparse.Namespace) -> int:
+    spec = _build_spec(args)
+    grid = _q_grid(args)
     rows = []
     max_abs_z = 0.0
-    for q, seed in zip(grid.tolist(), conf.row_seeds(len(grid))):
+    for q, seed in zip(grid, _row_seeds(args.seed, len(grid))):
         closed = bias_mod.closed_form_bias(spec, q)
-        estimate = mc_bias(spec, q, conf.samples, seed)
+        estimate = mc_bias(spec, q, args.samples, seed)
         if math.isfinite(closed) and estimate.stderr > 0:
             z = (estimate.mean - closed) / estimate.stderr
             max_abs_z = max(max_abs_z, abs(z))
         else:
             z = math.nan
         rows.append([q, closed, estimate.mean, estimate.stderr, z, estimate.warning or ""])
-    _emit_report(conf, ["q", "bias_closed_form", "bias_mc", "mc_stderr", "z", "warning"],
+    _emit_report(args, ["q", "bias_closed_form", "bias_mc", "mc_stderr", "z", "warning"],
                  rows, summary=f"max_abs_z={_fmt(max_abs_z)}")
     return 0
 
 
-def cmd_query_info(conf: ExperimentConfig) -> int:
-    if conf.data is None:
-        raise UsageError("query-info requires --data")
-    kind = _QUERY_NAMES[conf.query]
-    qd = QueryDescriptor(kind, threshold=conf.threshold, count_floor=conf.count_floor)
-    dataset = Dataset(load_records(conf.data), conf.lower, conf.upper, conf.lower_open)
+def cmd_query_info(args: argparse.Namespace) -> int:
+    qd = QueryDescriptor(_QUERY_NAMES[args.query], threshold=args.threshold,
+                         count_floor=args.count_floor)
+    dataset = Dataset(load_records(args.data), args.lower, args.upper, args.lower_open)
     value = evaluate_query(qd, dataset)
-    bounds = (conf.lower, conf.upper)
+    bounds = (args.lower, args.upper)
     delta = sensitivity(qd, bounds, len(dataset))
-    _emit_scalar(conf, {
-        "query": conf.query,
+    _emit_scalar(args, {
+        "query": args.query,
         "n": len(dataset),
         "value": value,
         "sensitivity": delta,
         "relative_bound": relative_bound_K(qd, bounds, len(dataset)),
-        "epsilon": conf.epsilon,
-        "scale": PrivacyParams(conf.epsilon, delta).scale,
+        "epsilon": args.epsilon,
+        "scale": PrivacyParams(args.epsilon, delta).scale,
     })
     return 0
 
 
-_HANDLERS = {
-    "bias-curve": cmd_bias_curve,
-    "optimal-alpha": cmd_optimal_alpha,
-    "compare": cmd_compare,
-    "verify-dp": cmd_verify_dp,
-    "mc-validate": cmd_mc_validate,
-    "query-info": cmd_query_info,
-}
-
-
 # --------------------------------------------------------------------------
-# argument parsing and config-file merging
+# flags and config files
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file of parameters; flags override it")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error, so that ``main`` reports it like any other."""
 
-    eps = argparse.ArgumentParser(add_help=False)
-    eps.add_argument("--epsilon", type=float)
-
-    privacy = argparse.ArgumentParser(add_help=False, parents=[eps])
-    privacy.add_argument("--sensitivity", type=float)
-
-    mech = argparse.ArgumentParser(add_help=False, parents=[privacy])
-    mech.add_argument("--mechanism", choices=_MECHANISMS)
-    mech.add_argument("--scale", type=float, help="override the Laplace scale b")
-    mech.add_argument("--alpha", type=float, help="ramp translation")
-    mech.add_argument("--kbound", type=float, help="relative bound for the multiplicative mechanism")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--q-min", type=float, dest="q_min")
-    grid.add_argument("--q-max", type=float, dest="q_max")
-    grid.add_argument("--q-points", type=int, dest="q_points")
-    grid.add_argument("--q-log", action=argparse.BooleanOptionalAction, dest="q_log")
-
-    samples = argparse.ArgumentParser(add_help=False)
-    samples.add_argument("--samples", type=int)
-
-    parser = argparse.ArgumentParser(prog="nonneg-dp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bias-curve", parents=[common, mech, grid, samples],
-                   help="closed-form vs quadrature vs Monte Carlo bias over a q grid")
-    sub.add_parser("optimal-alpha", parents=[common, mech],
-                   help="worst-case-bias-minimizing ramp translation")
-    sub.add_parser("compare", parents=[common, privacy, grid],
-                   help="clamping vs restriction bias at equal privacy level")
-    p = sub.add_parser("verify-dp", parents=[common, mech],
-                       help="density-ratio privacy certificate")
-    p.add_argument("--claimed", type=float, help="privacy level to certify (default: the guaranteed level)")
-    sub.add_parser("mc-validate", parents=[common, mech, grid, samples],
-                   help="Monte Carlo validation of closed-form bias with z-scores")
-    p = sub.add_parser("query-info", parents=[common, eps],
-                       help="evaluate a dataset query and its sensitivity bounds")
-    p.add_argument("--data", help="newline-delimited decimal records")
-    p.add_argument("--lower", type=float)
-    p.add_argument("--upper", type=float)
-    p.add_argument("--lower-open", action=argparse.BooleanOptionalAction, dest="lower_open")
-    p.add_argument("--query", choices=sorted(_QUERY_NAMES))
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--count-floor", type=int, dest="count_floor")
-    return parser
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = {key: value for key, value in vars(args).items() if key != "config"}
-    if args.config is not None:
+def _number(kind: type, low: float, strict: bool = False):
+    """Flag type: a finite ``kind`` that is > ``low`` if ``strict``, else >= ``low``."""
+    def convert(text: str):
         try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                file_values = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in file_values.items():
-            key = key.replace("-", "_")
-            if key in merged and merged[key] is None:
-                merged[key] = value
-    if merged.get("seed") is None:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                merged["seed"] = int(env_seed)
-            except ValueError as exc:
-                raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    conf = ExperimentConfig(command=merged.pop("command"))
-    for key, value in merged.items():
-        if value is not None:
-            setattr(conf, key, value)
-    conf.validate()
-    return conf
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if math.isfinite(value) and (value > low if strict else value >= low):
+            return value
+        raise argparse.ArgumentTypeError(f"must be finite and {'>' if strict else '>='} {low}, got {text}")
+    return convert
+
+
+_POSITIVE = _number(float, 0, strict=True)
+_NONNEGATIVE = _number(float, 0)
+
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", help="JSON object of flag values keyed by flag name; "
+                                      "flags on the command line override it")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name.  Each option's type,
+    range, choices and default are declared here and nowhere else."""
+    common = _Parser(add_help=False, parents=[_CONFIG])
+    common.add_argument("--out", help="output path (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"),
+                        help="default: csv for curves, json for single reports")
+    common.add_argument("--seed", type=_number(int, 0), default=os.environ.get("NONNEG_DP_SEED", "0"),
+                        help="RNG seed (default: $NONNEG_DP_SEED, then 0)")
+
+    eps = _Parser(add_help=False)
+    eps.add_argument("--epsilon", type=_POSITIVE, default=1.0)
+
+    privacy = _Parser(add_help=False, parents=[eps])
+    privacy.add_argument("--sensitivity", type=_NONNEGATIVE, default=1.0)
+
+    mech = _Parser(add_help=False, parents=[privacy])
+    mech.add_argument("--mechanism", choices=tuple(_CONSTRUCTORS), default="bit")
+    mech.add_argument("--scale", type=_POSITIVE, help="override the Laplace scale b")
+    mech.add_argument("--alpha", type=_NONNEGATIVE, default=0.0, help="ramp translation")
+    mech.add_argument("--kbound", type=_POSITIVE, help="relative bound for the multiplicative mechanism")
+
+    grid = _Parser(add_help=False)
+    grid.add_argument("--q-min", type=_NONNEGATIVE, default=0.0)
+    grid.add_argument("--q-max", type=_NONNEGATIVE, default=10.0)
+    grid.add_argument("--q-points", type=_number(int, 1), default=21)
+    grid.add_argument("--q-log", action=argparse.BooleanOptionalAction, default=False)
+
+    samples = _Parser(add_help=False)
+    samples.add_argument("--samples", type=_number(int, 100), default=100_000)
+
+    parser = _Parser(prog="nonneg-dp", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, parents, help):
+        command = sub.add_parser(name, parents=parents, help=help)
+        command.set_defaults(handler=handler)
+        return command
+
+    add("bias-curve", cmd_bias_curve, [common, mech, grid, samples],
+        "closed-form vs quadrature vs Monte Carlo bias over a q grid")
+    add("optimal-alpha", cmd_optimal_alpha, [common, mech],
+        "worst-case-bias-minimizing ramp translation")
+    add("compare", cmd_compare, [common, privacy, grid],
+        "clamping vs restriction bias at equal privacy level")
+    p = add("verify-dp", cmd_verify_dp, [common, mech], "density-ratio privacy certificate")
+    p.add_argument("--claimed", type=float, help="privacy level to certify (default: the guaranteed level)")
+    add("mc-validate", cmd_mc_validate, [common, mech, grid, samples],
+        "Monte Carlo validation of closed-form bias with z-scores")
+    p = add("query-info", cmd_query_info, [common, eps],
+            "evaluate a dataset query and its sensitivity bounds")
+    p.add_argument("--data", required=True, help="newline-delimited decimal records")
+    p.add_argument("--lower", type=float, default=0.0)
+    p.add_argument("--upper", type=float, default=1.0)
+    p.add_argument("--lower-open", action=argparse.BooleanOptionalAction, default=False)
+    p.add_argument("--query", choices=sorted(_QUERY_NAMES), default="mean")
+    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--count-floor", type=int)
+    return parser, sub.choices
+
+
+def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The JSON object in ``path`` as flags of ``command``: a key is a flag name,
+    ``true``/``false`` set a switch on/off, ``null`` keeps the default, and any
+    other value must be a string for a text flag or a number for a numeric one."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            values = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"config key {key!r}: {command.prog} has no flag {flag}")
+        if value is None:
+            continue
+        want = bool if action.nargs == 0 else str if action.type is None else float
+        if (float if type(value) is int else type(value)) is not want:
+            name = {bool: "true or false", str: "a string", float: "a number"}[want]
+            raise UsageError(f"config key {key!r} needs {name}, got {json.dumps(value)}")
+        flags.append(f"{flag}={value}" if want is not bool else flag if value else "--no-" + flag[2:])
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        conf = _resolve_config(args)
-        return _HANDLERS[conf.command](conf)
+        if argv and argv[0] in commands:
+            # File values go before the command-line flags, which win.
+            path = _CONFIG.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                argv[1:1] = _config_flags(path, commands[argv[0]])
+        args = parser.parse_args(argv)
+        return args.handler(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

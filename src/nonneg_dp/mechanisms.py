@@ -205,6 +205,8 @@ class MechanismSpec:
     postprocessor: PostProcessor | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
         if self.warning is not None:
             warnings.warn(self.warning)
 
@@ -217,8 +219,8 @@ class MechanismSpec:
         if self.variant is not Variant.MULTIPLICATIVE or self.scale < 0.5:
             return None
         if self.scale >= 1.0:
-            return "relative bound >= epsilon: mechanism mean is infinite"
-        return "relative bound >= epsilon/2: mechanism variance is infinite"
+            return "scale >= 1: mechanism mean is infinite"
+        return "scale >= 1/2: mechanism variance is infinite"
 
 
 def make_laplace_mechanism(privacy: PrivacyParams) -> MechanismSpec:

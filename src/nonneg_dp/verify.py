@@ -27,7 +27,7 @@ import numpy as np
 
 from .bias import truncated_exp_moment
 from .distributions import LaplaceDist, RngState, laplace_cdf, laplace_quantile, log_laplace_mgf
-from .mechanisms import MechanismSpec, Variant, restricted_cdf, restricted_quantile, sample_mechanism
+from .mechanisms import MechanismSpec, restricted_cdf, restricted_quantile, sample_mechanism
 
 __all__ = [
     "DpCertificate",
@@ -121,14 +121,10 @@ def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
     """Empirical bias from n seeded draws, with its standard error."""
     if n < 100:
         raise ValueError("need at least 100 draws for a standard error")
-    rng = RngState(seed)
-    warning = spec.warning
-    if spec.variant is Variant.MULTIPLICATIVE and spec.scale >= 1.0:
-        warning = "mean is infinite: the estimate will not stabilize"
-    draws = sample_mechanism(spec, q, rng, size=n)
+    draws = sample_mechanism(spec, q, RngState(seed), size=n)
     mean = float(np.mean(draws)) - q
     stderr = float(np.std(draws, ddof=1)) / math.sqrt(n)
-    return McEstimate(mean=mean, stderr=stderr, n=n, seed=seed, warning=warning)
+    return McEstimate(mean=mean, stderr=stderr, n=n, seed=seed, warning=spec.warning)
 
 
 def check_stochastic_dominance(base: LaplaceDist, grid: Sequence[float]) -> DominanceResult:

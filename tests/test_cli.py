@@ -10,11 +10,42 @@ import numpy as np
 import pytest
 
 from nonneg_dp.bias import bias_ratio_restricted_vs_bit
-from nonneg_dp.cli import main, read_csv_report
+from nonneg_dp.cli import main
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_csv_report(path):
+    """Parse a CSV report back into header, typed rows and summary lines."""
+    header, rows, summaries = [], [], []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                summaries.append(line[1:].strip())
+            elif not header:
+                header = line.split(",")
+            else:
+                rows.append([_typed(cell) for cell in line.split(",")])
+    return header, rows, summaries
+
+
+def _typed(cell):
+    try:
+        return float(cell) if cell else ""
+    except ValueError:
+        return cell
+
+
+def assert_usage_error(capsys):
+    """The run printed one ``error:`` line to stderr, no traceback, no report."""
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and out == ""
 
 
 def fmt17(value):
@@ -269,6 +300,139 @@ class TestConfigHandling:
         assert run("optimal-alpha", "--scale", "1") == 2
 
 
+def write_config(tmp_path, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    return str(config)
+
+
+def as_flags(values):
+    """The command-line spelling of a config object."""
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    return flags
+
+
+class TestConfigFile:
+    """A config value goes through its flag's type, range and choices."""
+
+    @pytest.mark.parametrize("command,values", [
+        ("bias-curve", {"epsilon": "1"}),
+        ("bias-curve", {"seed": "x"}),
+        ("bias-curve", {"seed": 1.5}),
+        ("bias-curve", {"seed": -1}),
+        ("bias-curve", {"q_points": 2.5}),
+        ("bias-curve", {"samples": 1e5}),
+        ("bias-curve", {"mechanism": "bogus"}),
+        ("bias-curve", {"epsilon": [1]}),
+        ("compare", {"q_log": "no", "q_min": 1}),
+        ("compare", {"q_max": None, "samples": 1000}),
+        ("optimal-alpha", {"scale": True}),
+        ("optimal-alpha", {"out": 1}),
+        ("optimal-alpha", {"epsilom": 1}),
+        ("optimal-alpha", {"eps": 2}),
+        ("optimal-alpha", {"help": True}),
+        ("optimal-alpha", {"config": "other.json"}),
+        ("optimal-alpha", {"format": "xml"}),
+        ("query-info", {"lower": "0"}),
+    ])
+    def test_bad_value_is_usage_error(self, command, values, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_text("0.5\n")
+        extra = ["--data", str(records)] if command == "query-info" else []
+        assert run(command, "--config", write_config(tmp_path, values), *extra) == 2
+        assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null"])
+    def test_config_that_is_not_an_object_is_usage_error(self, text, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert run("optimal-alpha", "--config", str(config)) == 2
+        assert_usage_error(capsys)
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        assert run("optimal-alpha", "--config", str(tmp_path / "absent.json")) == 2
+        assert_usage_error(capsys)
+
+    def test_out_writes_that_path(self, tmp_path, capsys):
+        out = tmp_path / "alpha.json"
+        assert run("optimal-alpha", "--config", write_config(tmp_path, {"out": str(out)})) == 0
+        assert capsys.readouterr().out == ""
+        assert run("optimal-alpha") == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_null_keeps_the_default(self, tmp_path):
+        out = tmp_path / "alpha.json"
+        assert run("optimal-alpha", "--config", write_config(tmp_path, {"scale": None}),
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text())["b"] == 1.0
+
+    def test_false_turns_a_switch_off(self, tmp_path):
+        out = tmp_path / "compare.csv"
+        config = write_config(tmp_path, {"q_log": False, "q_min": 1, "q_max": 3, "q_points": 3})
+        assert run("compare", "--config", config, "--out", str(out)) == 0
+        assert [row[0] for row in read_csv_report(str(out))[1]] == [1.0, 2.0, 3.0]
+        assert run("compare", "--config", config, "--q-log", "--out", str(out)) == 0
+        assert read_csv_report(str(out))[1][1][0] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+
+    def test_seed_precedence_is_flag_then_file_then_env_then_zero(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NONNEG_DP_SEED", raising=False)
+        args = ("mc-validate", "--mechanism", "restricted", "--q-points", "2", "--samples", "1000")
+
+        def report(*extra):
+            out = tmp_path / "mc.csv"
+            assert run(*args, *extra, "--out", str(out)) == 0
+            return out.read_bytes()
+
+        by_seed = {seed: report("--seed", str(seed)) for seed in (0, 5, 7, 9)}
+        assert len(set(by_seed.values())) == 4
+        config = write_config(tmp_path, {"seed": 5})
+        assert report() == by_seed[0]
+        monkeypatch.setenv("NONNEG_DP_SEED", "7")
+        assert report() == by_seed[7]
+        assert report("--config", config) == by_seed[5]
+        assert report("--config", config, "--seed", "9") == by_seed[9]
+        assert report("--seed", "9", "--config", config) == by_seed[9]
+
+    @pytest.mark.parametrize("command,values", [
+        ("bias-curve", {"mechanism": "ramp", "epsilon": 1.3, "sensitivity": 0.7, "scale": 0.9,
+                        "alpha": 0.2, "kbound": 0.5, "q_min": 0.5, "q_max": 3, "q_points": 3,
+                        "q_log": True, "samples": 1000, "seed": 4, "format": "json"}),
+        ("optimal-alpha", {"mechanism": "laplace", "epsilon": 2, "sensitivity": 0.5, "scale": 0.3,
+                           "alpha": 0.1, "kbound": 0.4, "seed": 4, "format": "csv"}),
+        ("compare", {"epsilon": 0.7, "sensitivity": 2, "q_min": 0.25, "q_max": 8, "q_points": 5,
+                     "q_log": True, "seed": 4, "format": "json"}),
+        ("verify-dp", {"mechanism": "restricted", "epsilon": 0.5, "sensitivity": 1, "scale": 3,
+                       "alpha": 0, "kbound": 0.4, "claimed": 0.7, "seed": 4, "format": "csv"}),
+        ("mc-validate", {"mechanism": "multiplicative", "epsilon": 1, "sensitivity": 1,
+                         "scale": 0.3, "alpha": 0, "kbound": 0.4, "q_min": 1, "q_max": 2,
+                         "q_points": 2, "q_log": True, "samples": 1000, "seed": 4,
+                         "format": "csv"}),
+        ("query-info", {"data": "{records}", "epsilon": 0.5, "lower": 0.1, "upper": 2,
+                        "lower_open": True, "query": "count", "threshold": 0.3,
+                        "count_floor": 2, "seed": 4, "format": "json"}),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_file_gives_the_bytes_of_the_same_flags(self, command, values, tmp_path):
+        records = tmp_path / "records.txt"
+        records.write_text("0.25\n0.5\n1.5\n")
+        values = {k: str(records) if v == "{records}" else v for k, v in values.items()}
+        from_file, from_flags = tmp_path / "file.out", tmp_path / "flags.out"
+        config = write_config(tmp_path, {**values, "out": str(from_file)})
+        code = run(command, "--config", config)
+        assert run(command, *as_flags(values), "--out", str(from_flags)) == code
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    def test_data_is_required_from_flag_or_file(self, tmp_path, capsys):
+        assert run("query-info") == 2
+        assert_usage_error(capsys)
+        records = tmp_path / "records.txt"
+        records.write_text("0.5\n")
+        assert run("query-info", "--config", write_config(tmp_path, {"data": str(records)})) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 1
+
+
 class TestErrorHandling:
     def test_bad_epsilon_is_usage_error(self):
         assert run("optimal-alpha", "--epsilon", "-1") == 2
@@ -296,10 +460,9 @@ class TestErrorHandling:
         ("compare", "--mechanism", "restricted"),
         ("query-info", "--sensitivity", "2"),
     ])
-    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            run(*argv)
-        assert excinfo.value.code == 2
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("kbound", ["0.95", "0.99"])
     def test_multiplicative_quadrature_near_unit_scale(self, kbound, tmp_path, capsys):
@@ -312,10 +475,9 @@ class TestErrorHandling:
         _, [[_, closed, quad, _, _]], _ = read_csv_report(str(out))
         assert quad == pytest.approx(closed, rel=1e-13)
 
-    def test_unknown_mechanism_exits_via_argparse(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run("bias-curve", "--mechanism", "bogus")
-        assert excinfo.value.code == 2
+    def test_unknown_mechanism_exits_via_argparse(self, capsys):
+        assert run("bias-curve", "--mechanism", "bogus") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestColdImport:

@@ -132,8 +132,8 @@ class TestFactories:
 
 
 _DEGENERATE = "degenerate mechanism: zero sensitivity adds no noise"
-_MEAN_INFINITE = "relative bound >= epsilon: mechanism mean is infinite"
-_VARIANCE_INFINITE = "relative bound >= epsilon/2: mechanism variance is infinite"
+_MEAN_INFINITE = "scale >= 1: mechanism mean is infinite"
+_VARIANCE_INFINITE = "scale >= 1/2: mechanism variance is infinite"
 
 
 def _made_with_warnings(make):
@@ -218,6 +218,15 @@ class TestLevelAndWarningFollowScale:
     def test_spec_has_only_its_four_fields(self):
         assert [f.name for f in fields(MechanismSpec)] == ["variant", "privacy", "scale",
                                                             "postprocessor"]
+
+    @pytest.mark.parametrize("scale", [-0.5, -1.0, math.nan, math.inf, -math.inf])
+    def test_spec_rejects_a_scale_that_is_not_finite_and_nonnegative(self, scale):
+        # Such a spec gave a closed-form bias of 0.333 (scale -0.5) and a
+        # privacy level of inf (nan) instead of failing.
+        with pytest.raises(ValueError, match="scale"):
+            MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, 0.3), scale)
+        with pytest.raises(ValueError, match="scale"):
+            replace(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale=scale)
 
 
 class TestRestrictedLaw:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,13 @@ class TestMcBias:
         est = mc_bias(spec, 1.0, 1000, seed=1)
         assert est.warning is not None
         assert "infinite" in est.warning
+
+    @pytest.mark.parametrize("k_bound", [0.3, 0.6, 1.5])
+    def test_warning_is_the_spec_warning(self, k_bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = make_multiplicative_mechanism(1.0, k_bound)
+        assert mc_bias(spec, 1.0, 1000, seed=1).warning == spec.warning
 
     def test_requires_enough_draws(self):
         spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
