@@ -8,7 +8,6 @@ numerical/statistical verification of the privacy and bias guarantees.
 """
 
 from .bias import (
-    NumericSup,
     bias_bit,
     bias_ratio_restricted_vs_bit,
     bias_restricted,
@@ -16,7 +15,6 @@ from .bias import (
     closed_form_bias,
     expectation_postprocessed_quadrature,
     expectation_translated_ramp,
-    max_abs_bias_numeric,
     max_abs_bias_translated_ramp,
     optimal_alpha,
     quadrature_bias,

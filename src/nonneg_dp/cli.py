@@ -275,12 +275,14 @@ def _number(kind: type, low: float, strict: bool = False):
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if math.isfinite(value) and (value > low if strict else value >= low):
             return value
-        raise argparse.ArgumentTypeError(f"must be finite and {'>' if strict else '>='} {low}, got {text}")
+        bound = f" and {'>' if strict else '>='} {low}" if math.isfinite(low) else ""
+        raise argparse.ArgumentTypeError(f"must be finite{bound}, got {text}")
     return convert
 
 
 _POSITIVE = _number(float, 0, strict=True)
 _NONNEGATIVE = _number(float, 0)
+_FINITE = _number(float, -math.inf)
 
 _CONFIG = _Parser(add_help=False)
 _CONFIG.add_argument("--config", help="JSON object of flag values keyed by flag name; "
@@ -333,7 +335,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add("compare", cmd_compare, [common, privacy, grid],
         "clamping vs restriction bias at equal privacy level")
     p = add("verify-dp", cmd_verify_dp, [common, mech], "density-ratio privacy certificate")
-    p.add_argument("--claimed", type=float, help="privacy level to certify (default: the guaranteed level)")
+    p.add_argument("--claimed", type=_NONNEGATIVE, help="privacy level to certify (default: the guaranteed level)")
     add("mc-validate", cmd_mc_validate, [common, mech, grid, samples],
         "Monte Carlo validation of closed-form bias with z-scores")
     p = add("query-info", cmd_query_info, [common, eps],
@@ -343,7 +345,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--upper", type=float, default=1.0)
     p.add_argument("--lower-open", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--query", choices=sorted(_QUERY_NAMES), default="mean")
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--threshold", type=_FINITE, default=0.0)
     p.add_argument("--count-floor", type=int)
     return parser, sub.choices
 

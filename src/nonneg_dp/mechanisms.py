@@ -344,8 +344,26 @@ def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None
     return restricted_quantile(base, rng.uniform(size))
 
 
+# Draws per block of a large batch: 128 KiB per temporary array, which stays in cache.
+_BLOCK = 2**14
+
+
 def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | None = None):
-    """Draw one output (or ``size`` outputs) of the mechanism at true value q."""
+    """Draw one output (or ``size`` outputs) of the mechanism at true value q.
+
+    More than ``_BLOCK`` outputs are drawn block by block into one array.
+    The uniforms come from the same stream and every later step is
+    elementwise, so the array equals a single batch bit for bit."""
+    if size is None or size <= _BLOCK:
+        return _draw(spec, q, rng, size)
+    out = np.empty(size)
+    for start in range(0, size, _BLOCK):
+        block = out[start:start + _BLOCK]
+        block[:] = _draw(spec, q, rng, block.size)
+    return out
+
+
+def _draw(spec: MechanismSpec, q: float, rng: RngState, size: int | None):
     if not (math.isfinite(q) and q >= 0):
         raise ValueError(f"query value must be nonnegative and finite, got {q}")
     if spec.variant is Variant.MULTIPLICATIVE:

@@ -52,6 +52,8 @@ class QueryDescriptor:
     count_floor: int | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.count_floor is not None and self.count_floor < 1:
             raise ValueError("count_floor must be at least 1")
 

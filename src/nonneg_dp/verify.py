@@ -102,6 +102,8 @@ def certify_dp_densities(density_a: Callable, density_b: Callable, eps: float,
     A pointwise density-ratio bound implies the measure-level privacy
     inequality, so passing is sufficient (not necessary) evidence.
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"claimed level must be finite and >= 0, got {eps}")
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
         raise ValueError("grid must be non-empty")
@@ -118,13 +120,19 @@ def certify_dp_densities(density_a: Callable, density_b: Callable, eps: float,
 
 
 def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
-    """Empirical bias from n seeded draws, with its standard error."""
+    """Empirical bias from n seeded draws, with its standard error.
+
+    Both equal numpy's ``mean`` and ``std(ddof=1)/sqrt(n)`` of the draws bit
+    for bit, and the draws array is the only large one held."""
     if n < 100:
         raise ValueError("need at least 100 draws for a standard error")
     draws = sample_mechanism(spec, q, RngState(seed), size=n)
-    mean = float(np.mean(draws)) - q
-    stderr = float(np.std(draws, ddof=1)) / math.sqrt(n)
-    return McEstimate(mean=mean, stderr=stderr, n=n, seed=seed, warning=spec.warning)
+    # np.mean's and np.std's steps, summing once; nothing else holds the draws.
+    mean = np.add.reduce(draws, keepdims=True) / n
+    np.square(np.subtract(draws, mean, out=draws), out=draws)
+    stderr = math.sqrt(float(np.add.reduce(draws)) / (n - 1)) / math.sqrt(n)
+    return McEstimate(mean=float(mean[0]) - q, stderr=stderr, n=n, seed=seed,
+                      warning=spec.warning)
 
 
 def check_stochastic_dominance(base: LaplaceDist, grid: Sequence[float]) -> DominanceResult:

@@ -18,7 +18,6 @@ from nonneg_dp.bias import (
     bias_restricted,
     bias_translated_ramp,
     expectation_postprocessed_quadrature,
-    max_abs_bias_numeric,
     max_abs_bias_translated_ramp,
     optimal_alpha,
 )
@@ -39,6 +38,8 @@ from nonneg_dp.verify import (
     coupling_bias_lower_bound,
     mc_bias,
 )
+
+from numeric_sup import max_abs_bias_numeric
 
 
 def report(number: int, passed: bool, detail: str) -> None:

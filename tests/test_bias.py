@@ -13,7 +13,6 @@ from nonneg_dp.bias import (
     closed_form_bias,
     expectation_postprocessed_quadrature,
     expectation_translated_ramp,
-    max_abs_bias_numeric,
     max_abs_bias_translated_ramp,
     optimal_alpha,
     quadrature_bias,
@@ -30,6 +29,8 @@ from nonneg_dp.mechanisms import (
     make_restricted_mechanism,
     restricted_pdf,
 )
+
+from numeric_sup import max_abs_bias_numeric
 
 
 def ramp_expectation_quad(q, b, alpha=0.0):

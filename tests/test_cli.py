@@ -157,6 +157,14 @@ class TestVerifyDp:
         assert code == 1
         assert json.loads(out.read_text())["passed"] is False
 
+    @pytest.mark.parametrize("claimed", ["nan", "inf", "-1"])
+    def test_claimed_level_out_of_range_is_usage_error(self, claimed, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert run("verify-dp", "--mechanism", "laplace", f"--claimed={claimed}",
+                   "--out", str(out)) == 2
+        assert_usage_error(capsys)
+        assert not out.exists()
+
     def test_multiplicative_passes_on_log_scale(self, tmp_path):
         out = tmp_path / "cert.json"
         assert run("verify-dp", "--mechanism", "multiplicative", "--epsilon", "1",
@@ -253,6 +261,16 @@ class TestQueryInfo:
         assert run("query-info", "--data", str(data), "--lower", "0",
                    "--upper", "1", "--query", "mean", "--out", str(out)) == 0
         assert json.loads(out.read_text())["relative_bound"] == "inf"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, threshold, tmp_path, capsys):
+        data = tmp_path / "records.txt"
+        data.write_text("0.5\n0.25\n")
+        out = tmp_path / "info.json"
+        assert run("query-info", "--data", str(data), "--lower", "0", "--upper", "1",
+                   "--query", "count", f"--threshold={threshold}", "--out", str(out)) == 2
+        assert_usage_error(capsys)
+        assert not out.exists()
 
     def test_record_outside_bounds_is_usage_error(self, tmp_path):
         data = tmp_path / "records.txt"

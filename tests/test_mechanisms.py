@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonneg_dp.distributions import _TINY, LaplaceDist, RngState, laplace_cdf, laplace_pdf
+from nonneg_dp.distributions import (
+    _TINY,
+    LaplaceDist,
+    RngState,
+    laplace_cdf,
+    laplace_pdf,
+    laplace_quantile,
+)
 from nonneg_dp.mechanisms import (
+    _BLOCK,
     MechanismSpec,
     PostProcessor,
     PrivacyParams,
@@ -452,6 +460,34 @@ class TestScalarPath:
         for arg in (30.0, np.float64(30.0), np.array([1.0, 30.0])):
             with pytest.raises(ValueError, match="not nonnegative"):
                 apply_postprocessor(pp, arg)
+
+
+def _one_batch(spec, q, u):
+    """The draws of ``spec`` at q from the uniforms u, by the public per-array
+    functions run once over the whole array."""
+    if spec.variant is Variant.MULTIPLICATIVE:
+        return np.multiply(np.exp(laplace_quantile(LaplaceDist(0.0, spec.scale), u)), q)
+    base = LaplaceDist(q, spec.scale)
+    if spec.variant is Variant.RESTRICTED:
+        return restricted_quantile(base, u)
+    noise = laplace_quantile(base, u)
+    if spec.variant is Variant.POST_PROCESSED:
+        return apply_postprocessor(spec.postprocessor, noise)
+    return noise
+
+
+class TestBlockedBatch:
+    """A batch larger than one block equals the same functions run over one
+    uniform array, bit for bit, at every size around the block boundary."""
+
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 10**6])
+    @pytest.mark.parametrize("name", ["plain", "ramp", "translated-ramp", "restricted",
+                                      "multiplicative"])
+    def test_equals_one_batch_over_the_uniforms(self, name, size):
+        spec, q, seed = SCALAR_PATH_SPECS[name], 0.7, 31
+        draws = sample_mechanism(spec, q, RngState(seed), size=size)
+        assert draws.shape == (size,)
+        np.testing.assert_array_equal(draws, _one_batch(spec, q, RngState(seed).uniform(size)))
 
 
 class TestDensityRatioCertificates:

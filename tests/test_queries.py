@@ -41,6 +41,17 @@ class TestDataset:
         assert other.records == (0.2, 0.9, 0.6)
 
 
+class TestQueryDescriptor:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            count_above(threshold)
+
+    def test_accepts_negative_threshold(self):
+        d = Dataset((0.2, 0.4), 0.0, 1.0)
+        assert evaluate_query(count_above(-1.0), d) == 2.0
+
+
 class TestEvaluateQuery:
     def test_mean(self):
         d = Dataset((0.2, 0.4, 0.6), 0.0, 1.0, lower_open=True)

@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from nonneg_dp.bias import bias_bit, bias_restricted, bias_translated_ramp, optimal_alpha
-from nonneg_dp.distributions import LaplaceDist, laplace_pdf, laplace_quantile, log_laplace_mgf
+from nonneg_dp.distributions import (
+    LaplaceDist,
+    RngState,
+    laplace_pdf,
+    laplace_quantile,
+    log_laplace_mgf,
+)
 from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
@@ -16,6 +23,7 @@ from nonneg_dp.mechanisms import (
     make_restricted_mechanism,
     restricted_pdf,
     restricted_quantile,
+    sample_mechanism,
 )
 from nonneg_dp.verify import (
     certify_dp_densities,
@@ -65,6 +73,19 @@ class TestCertifyDpDensities:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             certify_dp_densities(lambda x: 1.0, lambda x: 1.0, 1.0, [])
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_claimed_level_that_is_not_finite_and_nonnegative(self, eps):
+        dist = LaplaceDist(0.0, 1.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            certify_dp_densities(lambda x: laplace_pdf(dist, x),
+                                 lambda x: laplace_pdf(dist, x), eps, np.linspace(-1, 1, 5))
+
+    def test_claimed_level_zero_certifies_identical_densities(self):
+        dist = LaplaceDist(0.0, 1.0)
+        assert certify_dp_densities(lambda x: laplace_pdf(dist, x),
+                                    lambda x: laplace_pdf(dist, x), 0.0,
+                                    np.linspace(-1, 1, 5)).passed
 
     def test_calls_each_density_once_on_the_grid_array(self):
         calls = []
@@ -155,6 +176,45 @@ class TestMcBias:
         est = mc_bias(spec, 1.0, 10**6, seed=42)
         expected = log_laplace_mgf(0.5, 1.0) - 1.0
         assert abs(est.mean - expected) <= 4 * est.stderr
+
+
+def _mc_specs():
+    privacy = PrivacyParams(0.8, 1.0)
+    return {
+        "plain": make_laplace_mechanism(privacy),
+        "ramp": make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
+        "translated-ramp": make_postprocessed_mechanism(privacy,
+                                                        PostProcessor.translated_ramp(0.44)),
+        "restricted": make_restricted_mechanism(privacy),
+        "multiplicative": make_multiplicative_mechanism(1.0, 0.3),
+    }
+
+
+MC_SPECS = _mc_specs()
+
+
+class TestMcBiasOfLargeBatches:
+    """At 1e6 draws ``mc_bias`` returns numpy's mean and ddof=1 standard
+    deviation of the draws, bit for bit, and holds little more than the draws."""
+
+    @pytest.mark.parametrize("name", sorted(MC_SPECS))
+    def test_equals_numpy_mean_and_std_of_the_draws(self, name):
+        spec, q, seed, n = MC_SPECS[name], 0.7, 5, 10**6
+        draws = sample_mechanism(spec, q, RngState(seed), size=n)
+        est = mc_bias(spec, q, n, seed)
+        assert est.mean == float(np.mean(draws)) - q
+        assert est.stderr == float(np.std(draws, ddof=1)) / math.sqrt(n)
+
+    @pytest.mark.parametrize("name", sorted(MC_SPECS))
+    def test_peak_memory_is_about_one_array_of_draws(self, name):
+        spec, n = MC_SPECS[name], 10**6
+        tracemalloc.start()
+        try:
+            mc_bias(spec, 0.7, n, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n
 
 
 class TestStochasticDominance:
