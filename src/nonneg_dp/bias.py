@@ -57,16 +57,14 @@ def _require_positive_scale(b: float) -> None:
         raise ValueError(f"scale must be positive and finite, got {b}")
 
 
-def _require_nonnegative(name: float, value: float) -> None:
+def _require_nonnegative(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def bias_bit(q: float, b: float) -> float:
     """Bias of the ramp-clamped (boundary inflated) mechanism: (b/2)exp(-q/b)."""
-    _require_positive_scale(b)
-    _require_nonnegative("q", q)
-    return 0.5 * b * math.exp(-q / b)
+    return bias_translated_ramp(q, 0.0, b)
 
 
 def expectation_translated_ramp(q: float, alpha: float, b: float) -> float:
@@ -91,9 +89,7 @@ def bias_translated_ramp(q: float, alpha: float, b: float) -> float:
 
 def max_abs_bias_translated_ramp(alpha: float, b: float) -> float:
     """Worst-case |bias| over q >= 0: max of the q=0 value and the q->inf limit."""
-    _require_positive_scale(b)
-    _require_nonnegative("alpha", alpha)
-    return max(0.5 * b * math.exp(-alpha / b), alpha)
+    return max(bias_translated_ramp(0.0, alpha, b), alpha)
 
 
 def optimal_alpha(b: float) -> float:
@@ -153,37 +149,39 @@ def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
     trouble = any(issubclass(w.category, integrate.IntegrationWarning) for w in caught)
     tolerance = max(1e-10, 1e-8 * abs(value))
     if not math.isfinite(value) or (trouble and abserr > tolerance):
-        raise ValueError("post-processor not integrable")
+        raise ValueError("integrand not integrable")
     return value
 
 
-def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
-    """E[pp(q + noise)] by adaptive quadrature against the Laplace density.
+def _postprocessed_mean(pp: PostProcessor, q: float, b: float, offset: float) -> float:
+    """E[pp(q + noise)] - offset, integrated in t = noise/b over [-40, 40],
+    outside which the density is below 1e-16 of its peak.  The integrand is of
+    order 1 at any b, so quad's absolute tolerance stays relative, and t = 0
+    and the ramp kink are breakpoints, so piecewise-smooth integrands keep
+    full convergence order."""
+    points = [0.0] if pp.kind == "custom" else [0.0, (pp.alpha - q) / b]
 
-    Integrates over [q - 40b, q + 40b], outside which the density is below
-    1e-16 of its peak, with subdivision breakpoints at the density kink and at
-    the ramp kink so piecewise-smooth integrands keep full convergence order.
-    """
+    def excess(t: float) -> float:
+        return (apply_postprocessor(pp, q + b * t) - offset) / b * math.exp(-abs(t)) / 2.0
+
+    return b * _integrate(excess, -_TAIL_RADII, _TAIL_RADII, points)
+
+
+def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
+    """E[pp(q + noise)] by adaptive quadrature against the Laplace density."""
     _require_positive_scale(b)
     _require_nonnegative("q", q)
-    points = [q] if pp.kind == "custom" else [q, pp.alpha]
-
-    def integrand(x: float) -> float:
-        return apply_postprocessor(pp, x) * math.exp(-abs(x - q) / b) / (2.0 * b)
-
-    return _integrate(integrand, q - _TAIL_RADII * b, q + _TAIL_RADII * b, points)
+    return _postprocessed_mean(pp, q, b, 0.0)
 
 
 def truncated_exp_moment(b: float, radius: float) -> float:
     """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
-    [-radius, radius]."""
-    from scipy import integrate
-
-    value, _ = integrate.quad(
-        lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
-        -radius, radius, points=[0.0], limit=400,
-    )
-    return value
+    [-radius, radius]; ValueError once exp(radius) overflows."""
+    try:
+        return _integrate(lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
+                          -radius, radius, [0.0])
+    except OverflowError:
+        raise ValueError(f"truncated moment overflows at radius {radius:g}") from None
 
 
 def closed_form_bias(spec: MechanismSpec, q: float) -> float:
@@ -193,6 +191,7 @@ def closed_form_bias(spec: MechanismSpec, q: float) -> float:
     infinite once b >= 1.
     Custom post-processors have no closed form: ValueError.
     """
+    _require_nonnegative("q", q)
     b = spec.scale
     if spec.variant is Variant.PLAIN:
         return 0.0
@@ -218,6 +217,8 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     multiplicative), so quad's absolute tolerance stays relative at tiny b.
     """
     b = spec.scale
+    _require_positive_scale(b)
+    _require_nonnegative("q", q)
     if spec.variant is Variant.MULTIPLICATIVE:
         if b >= 1.0:
             return math.inf
@@ -226,8 +227,6 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
         return q * b * b * _integrate(
             lambda t: (math.expm1(-b * t) / b) ** 2 * math.exp((b - 1.0) * t) / 2.0,
             0.0, _TAIL_RADII / (1.0 - b), [1.0 / b, 10.0 / b, 40.0 / b])
-    _require_positive_scale(b)
-    _require_nonnegative("q", q)
     lo, hi = -_TAIL_RADII, _TAIL_RADII
     if spec.variant is Variant.PLAIN:
         return b * _integrate(lambda t: t * math.exp(-abs(t)) / 2.0, lo, hi, [0.0])
@@ -235,10 +234,4 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
         base = LaplaceDist(q, b)
         return b * _integrate(lambda t: t * b * restricted_pdf(base, q + b * t),
                               max(lo, -q / b), hi, [0.0])
-    pp = spec.postprocessor
-    points = [0.0] if pp.kind == "custom" else [0.0, (pp.alpha - q) / b]
-
-    def excess(t: float) -> float:
-        return (apply_postprocessor(pp, q + b * t) - q) / b * math.exp(-abs(t)) / 2.0
-
-    return b * _integrate(excess, lo, hi, points)
+    return _postprocessed_mean(spec.postprocessor, q, b, q)

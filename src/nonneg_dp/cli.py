@@ -47,9 +47,6 @@ _CONSTRUCTORS = {
     "restricted": lambda args, privacy: make_restricted_mechanism(privacy),
     "multiplicative": lambda args, privacy: make_multiplicative_mechanism(args.epsilon, args.kbound),
 }
-_QUERY_NAMES = {"count": QueryKind.COUNT_ABOVE_THRESHOLD,
-                "sum": QueryKind.BOUNDED_SUM,
-                "mean": QueryKind.BOUNDED_MEAN}
 
 
 def __getattr__(name: str):
@@ -238,7 +235,7 @@ def cmd_mc_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_query_info(args: argparse.Namespace) -> int:
-    qd = QueryDescriptor(_QUERY_NAMES[args.query], threshold=args.threshold,
+    qd = QueryDescriptor(QueryKind(args.query), threshold=args.threshold,
                          count_floor=args.count_floor)
     dataset = Dataset(load_records(args.data), args.lower, args.upper, args.lower_open)
     value = evaluate_query(qd, dataset)
@@ -344,7 +341,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--lower", type=float, default=0.0)
     p.add_argument("--upper", type=float, default=1.0)
     p.add_argument("--lower-open", action=argparse.BooleanOptionalAction, default=False)
-    p.add_argument("--query", choices=sorted(_QUERY_NAMES), default="mean")
+    p.add_argument("--query", choices=sorted(k.value for k in QueryKind), default="mean")
     p.add_argument("--threshold", type=_FINITE, default=0.0)
     p.add_argument("--count-floor", type=int)
     return parser, sub.choices

@@ -138,7 +138,6 @@ class PostProcessor:
     kind: str
     alpha: float = 0.0
     func: Callable[[float], float] | None = None
-    scale: float | None = None
 
     @classmethod
     def ramp(cls) -> "PostProcessor":
@@ -157,7 +156,7 @@ class PostProcessor:
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be positive, got {scale}")
         _check_v_plus_membership(func, scale)
-        return cls(kind="custom", func=func, scale=float(scale))
+        return cls(kind="custom", func=func)
 
 
 def apply_postprocessor(pp: PostProcessor, x):
@@ -176,10 +175,7 @@ def apply_postprocessor(pp: PostProcessor, x):
         out = np.subtract(arr, pp.alpha, out=np.empty(arr.shape))
         np.maximum(out, 0.0, out=out)
         return float(out) if out.ndim == 0 else out
-    if arr.ndim == 0:
-        out = np.asarray(float(pp.func(float(arr))))
-    else:
-        out = np.array([pp.func(float(v)) for v in arr], dtype=float)
+    out = np.array([pp.func(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
     if np.any(out < 0):
         raise ValueError("post-processor not nonnegative")
     return float(out) if out.ndim == 0 else out

@@ -89,9 +89,13 @@ class Dataset:
 
 
 def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:
-    """Evaluate the statistic; nonnegative whenever the lower bound is >= 0."""
+    """Evaluate the statistic; nonnegative whenever the lower bound is >= 0.
+    A count below its declared ``count_floor`` is a ValueError."""
     if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
-        return float(sum(1 for r in d.records if r >= qd.threshold))
+        count = sum(1 for r in d.records if r >= qd.threshold)
+        if qd.count_floor is not None and count < qd.count_floor:
+            raise ValueError(f"count {count} is below its declared count_floor {qd.count_floor}")
+        return float(count)
     if len(d) == 0:
         raise ValueError("undefined query: mean/sum of empty dataset")
     total = math.fsum(d.records)

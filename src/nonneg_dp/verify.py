@@ -43,6 +43,10 @@ __all__ = [
 
 # Slack on density-ratio certificates, absorbing float rounding in the log.
 _CERT_SLACK = 1e-9
+# Overall growth of the truncated moments that flags divergence at scale >= 1.
+_DIVERGENCE_GROWTH = 10.0
+# Distance from the closed-form moment within which scale < 1 counts as converged.
+_CONVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,13 @@ class DivergenceReport:
 
     For scale >= 1 the values increase without bound; ``diverges`` records
     that they were strictly increasing with overall growth of at least
-    ``growth_threshold``.  For scale < 1 the last value is compared against
-    the closed-form moment instead.
+    ``_DIVERGENCE_GROWTH`` (10).  For scale < 1 the last value is compared
+    against the closed-form moment instead, within ``_CONVERGENCE_TOL``.
 
     At the boundary scale 1 the growth is only linear, (T/2 + 1/4) up to a
     term in exp(-2T), so ``growth_factor`` is about ``radii[-1] / radii[0]``
     and ``diverges`` can be set there only when the radii span more than
-    roughly ``growth_threshold``; radii (10, 20, 40, 80) give 7.667.
+    roughly ``_DIVERGENCE_GROWTH``; radii (10, 20, 40, 80) give 7.667.
     """
 
     scale: float
@@ -161,22 +165,21 @@ def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
     return float(np.trapezoid(gap, omega))
 
 
-def check_divergence_log_laplace(b: float, radii: Sequence[float],
-                                 growth_threshold: float = 10.0,
-                                 convergence_tol: float = 1e-6) -> DivergenceReport:
+def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> DivergenceReport:
     """Witness the finite/infinite dichotomy of E[exp(noise)] at scale b.
 
     Computes the truncated moment (1/2b) * integral of exp(x)exp(-|x|/b) over
     [-T, T] for each radius T.  For b >= 1 the values must increase strictly;
     divergence is flagged when the overall growth reaches
-    ``growth_threshold``.  For b < 1 the values approach the closed-form
+    ``_DIVERGENCE_GROWTH``.  For b < 1 the values approach the closed-form
     moment and ``converged`` reports whether the last radius got within
-    ``convergence_tol``.
+    ``_CONVERGENCE_TOL``.  A radius whose moment overflows is a ValueError
+    naming it.
 
     At b = 1 the truncated moment is (1/2)((1 - exp(-2T))/2 + T), linear in
     T, so the growth factor is about T_last/T_first: to flag divergence at
     the boundary scale the radius span must exceed roughly
-    ``growth_threshold`` (e.g. (10, ..., 160) for the default 10).
+    ``_DIVERGENCE_GROWTH`` (e.g. (10, ..., 160)).
     """
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"scale must be positive and finite, got {b}")
@@ -187,14 +190,14 @@ def check_divergence_log_laplace(b: float, radii: Sequence[float],
     increasing = all(v2 > v1 for v1, v2 in zip(values, values[1:]))
     growth = values[-1] / values[0]
     limit = log_laplace_mgf(b, 1.0)
-    converged = math.isfinite(limit) and abs(values[-1] - limit) <= convergence_tol
+    converged = math.isfinite(limit) and abs(values[-1] - limit) <= _CONVERGENCE_TOL
     return DivergenceReport(
         scale=b,
         radii=radii,
         values=values,
         strictly_increasing=increasing,
         growth_factor=growth,
-        diverges=increasing and growth >= growth_threshold,
+        diverges=increasing and growth >= _DIVERGENCE_GROWTH,
         limit=limit,
         converged=converged,
     )

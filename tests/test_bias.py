@@ -381,8 +381,7 @@ class TestQuadratureEngine:
 
     def test_non_integrable_function_raises(self):
         # bypasses the constructor check; the engine must still notice
-        pp = PostProcessor(kind="custom", func=lambda x: 1 / abs(x) if x else math.inf,
-                           scale=1.0)
+        pp = PostProcessor(kind="custom", func=lambda x: 1 / abs(x) if x else math.inf)
         with pytest.raises(ValueError, match="not integrable"):
             expectation_postprocessed_quadrature(pp, 1.0, 1.0)
 
@@ -437,3 +436,56 @@ class TestPositiveBiasWitnesses:
         for q in (0.0, 0.5, 1.0, 4.0, 9.0):
             assert abs(self._bias(pp, q)) == pytest.approx(q, abs=1e-12)
 
+
+
+_BAD_Q = [-1.0, -1e-300, math.nan, math.inf]
+
+
+class TestDispatcherInputChecks:
+    """closed_form_bias and quadrature_bias check q (and the scale) once,
+    before they branch on the variant."""
+
+    @pytest.mark.parametrize("q", _BAD_Q)
+    @pytest.mark.parametrize("spec", [
+        make_laplace_mechanism(PrivacyParams(1.0, 1.0)),
+        make_multiplicative_mechanism(1.0, 0.3),
+    ], ids=["plain", "multiplicative"])
+    def test_closed_form_rejects_bad_q(self, spec, q):
+        with pytest.raises(ValueError, match="q must be"):
+            closed_form_bias(spec, q)
+
+    @pytest.mark.parametrize("q", _BAD_Q)
+    def test_multiplicative_quadrature_rejects_bad_q(self, q):
+        spec = make_multiplicative_mechanism(1.0, 0.3)
+        with pytest.raises(ValueError, match="q must be"):
+            quadrature_bias(spec, q)
+
+    def test_multiplicative_quadrature_rejects_zero_scale(self):
+        spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, 0.3), 0.0)
+        with pytest.raises(ValueError, match="scale must be"):
+            quadrature_bias(spec, 1.0)
+
+    @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.MULTIPLICATIVE])
+    def test_closed_form_is_zero_at_zero_scale(self, variant):
+        with pytest.warns(UserWarning, match="degenerate"):
+            spec = MechanismSpec(variant, PrivacyParams(1.0, 0.0), 0.0)
+        for q in (0.0, 1.0, 1e300):
+            assert closed_form_bias(spec, q) == 0.0
+
+
+class TestClampFormsAreTheTranslatedRamp:
+    """bias_bit and the worst-case bias are the translated ramp at alpha = 0
+    and at q = 0, bit for bit, with b log-uniform over the double range."""
+
+    def test_log_uniform_sweep(self):
+        rng = np.random.default_rng(1301)
+        b = 10.0 ** rng.uniform(-300, 300, 4000)
+        ratio = 10.0 ** rng.uniform(-6, 3, 4000)
+        for b_, r in zip(b.tolist(), ratio.tolist()):
+            x = r * b_
+            assert bias_bit(x, b_) == bias_translated_ramp(x, 0.0, b_)
+            assert max_abs_bias_translated_ramp(x, b_) == max(
+                bias_translated_ramp(0.0, x, b_), x)
+        for b_ in b[:50].tolist():
+            assert bias_bit(0.0, b_) == bias_translated_ramp(0.0, 0.0, b_)
+            assert max_abs_bias_translated_ramp(0.0, b_) == bias_translated_ramp(0.0, 0.0, b_)

@@ -240,6 +240,15 @@ class TestScaleOverride:
             assert caught and all(warning in message for message in caught)
 
 
+    def test_zero_sensitivity_laplace_has_zero_closed_form(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert run("mc-validate", "--mechanism", "laplace", "--sensitivity", "0",
+                   "--q-points", "3", "--samples", "100", "--out", str(out)) == 0
+        header, rows, _ = read_csv_report(str(out))
+        assert header[1] == "bias_closed_form"
+        assert len(rows) == 3 and all(row[1] == 0.0 for row in rows)
+
+
 class TestQueryInfo:
     def test_mean_report(self, tmp_path):
         data = tmp_path / "records.txt"
@@ -269,6 +278,15 @@ class TestQueryInfo:
         out = tmp_path / "info.json"
         assert run("query-info", "--data", str(data), "--lower", "0", "--upper", "1",
                    "--query", "count", f"--threshold={threshold}", "--out", str(out)) == 2
+        assert_usage_error(capsys)
+        assert not out.exists()
+
+    def test_count_below_its_floor_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "records.txt"
+        data.write_text("0.5\n0.25\n")
+        out = tmp_path / "info.json"
+        assert run("query-info", "--data", str(data), "--query", "count",
+                   "--count-floor", "5", "--out", str(out)) == 2
         assert_usage_error(capsys)
         assert not out.exists()
 

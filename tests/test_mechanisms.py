@@ -101,6 +101,21 @@ class TestPostProcessor:
             np.array([0.0, 0.0, 1.5]))
 
 
+class TestCustomPostProcessorShapes:
+    """A custom function applies elementwise to any shape, each value equal to
+    the scalar call."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3), (2, 2, 2)])
+    def test_matches_scalar_calls(self, shape):
+        pp = PostProcessor.custom(lambda x: x * x, scale=1.0)
+        x = np.random.default_rng(7).normal(size=shape)
+        out = apply_postprocessor(pp, x)
+        expected = np.array([apply_postprocessor(pp, v) for v in x.ravel().tolist()])
+        assert type(out) is (float if shape == () else np.ndarray)
+        assert np.shape(out) == shape
+        assert np.asarray(out).tobytes() == expected.reshape(shape).tobytes()
+
+
 class TestFactories:
     def test_plain_uses_tight_scale(self):
         assert make_laplace_mechanism(PrivacyParams(1.0, 1.0)).scale == 1.0

@@ -166,3 +166,14 @@ class TestLoadRecords:
         path.write_text("0.25\nnot-a-number\n")
         with pytest.raises(ValueError, match="not a decimal value"):
             load_records(path)
+
+
+class TestCountFloor:
+    def test_count_below_floor_is_rejected(self):
+        qd = QueryDescriptor(QueryKind.COUNT_ABOVE_THRESHOLD, threshold=0.0, count_floor=5)
+        with pytest.raises(ValueError, match="count_floor"):
+            evaluate_query(qd, Dataset((0.5, 0.25), 0.0, 1.0))
+
+    def test_count_at_floor_is_kept(self):
+        qd = QueryDescriptor(QueryKind.COUNT_ABOVE_THRESHOLD, threshold=0.3, count_floor=2)
+        assert evaluate_query(qd, Dataset((0.25, 0.5, 0.75), 0.0, 1.0)) == 2.0

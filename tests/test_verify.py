@@ -302,3 +302,11 @@ class TestDivergenceCheck:
             check_divergence_log_laplace(1.0, (10, 10))
         with pytest.raises(ValueError):
             check_divergence_log_laplace(1.0, (10,))
+
+
+class TestDivergenceOverflow:
+    @pytest.mark.parametrize("b,radii,bad", [(2.0, (10.0, 2000.0), "2000"),
+                                             (1e3, (10.0, 1000.0), "1000")])
+    def test_overflow_is_value_error_naming_the_radius(self, b, radii, bad):
+        with pytest.raises(ValueError, match=f"radius {bad}"):
+            check_divergence_log_laplace(b, radii)
