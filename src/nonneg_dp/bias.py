@@ -39,7 +39,6 @@ __all__ = [
     "bias_restricted",
     "bias_ratio_restricted_vs_bit",
     "expectation_postprocessed_quadrature",
-    "truncated_exp_moment",
     "closed_form_bias",
     "quadrature_bias",
 ]
@@ -174,7 +173,7 @@ def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) 
     return _postprocessed_mean(pp, q, b, 0.0)
 
 
-def truncated_exp_moment(b: float, radius: float) -> float:
+def _truncated_exp_moment(b: float, radius: float) -> float:
     """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
     [-radius, radius]; ValueError once exp(radius) overflows."""
     try:

@@ -174,10 +174,9 @@ def apply_postprocessor(pp: PostProcessor, x):
     if pp.kind == "translated-ramp":
         out = np.subtract(arr, pp.alpha, out=np.empty(arr.shape))
         np.maximum(out, 0.0, out=out)
-        return float(out) if out.ndim == 0 else out
-    out = np.array([pp.func(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
-    if np.any(out < 0):
-        raise ValueError("post-processor not nonnegative")
+    else:
+        out = np.array([apply_postprocessor(pp, v) for v in arr.ravel().tolist()],
+                       dtype=float).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -193,7 +192,8 @@ class MechanismSpec:
     """One mechanism family at the Laplace scale ``scale`` it uses, parameterized
     by the true query value at sampling time.  Its privacy level
     (:func:`guaranteed_privacy_level`) and ``warning`` follow ``scale``, also
-    through ``dataclasses.replace``; a spec warns when it is made."""
+    through ``dataclasses.replace``; a spec warns when it is made.  It has a
+    ``postprocessor`` exactly when it is post-processed."""
 
     variant: Variant
     privacy: PrivacyParams
@@ -203,6 +203,8 @@ class MechanismSpec:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale >= 0):
             raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        if (self.postprocessor is None) == (self.variant is Variant.POST_PROCESSED):
+            raise ValueError("a spec has a post-processor exactly when it is post-processed")
         if self.warning is not None:
             warnings.warn(self.warning)
 
@@ -212,7 +214,7 @@ class MechanismSpec:
         >= 1 iff K >= epsilon and >= 1/2 iff K >= epsilon/2."""
         if self.scale == 0.0:
             return "degenerate mechanism: zero sensitivity adds no noise"
-        if self.variant is not Variant.MULTIPLICATIVE or self.scale < 0.5:
+        if self.scale < 0.5 or self.variant is not Variant.MULTIPLICATIVE:
             return None
         if self.scale >= 1.0:
             return "scale >= 1: mechanism mean is infinite"
@@ -273,19 +275,28 @@ def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, np.ndar
     if spec.variant is Variant.POST_PROCESSED:
         raise ValueError("post-processed mechanisms have no closed-form density to certify")
     b, delta = spec.scale, spec.privacy.sensitivity
-    pair = (LaplaceDist(0.0, b), LaplaceDist(delta, b))
     if spec.variant is Variant.RESTRICTED:
-        return (partial(restricted_pdf, pair[0]), partial(restricted_pdf, pair[1]),
-                np.linspace(0.0, delta + 10 * b, 2000))
-    return (partial(laplace_pdf, pair[0]), partial(laplace_pdf, pair[1]),
-            np.linspace(-10 * b, delta + 10 * b, 2000))
+        pdf, lower = restricted_pdf, 0.0
+    else:
+        pdf, lower = laplace_pdf, -10 * b
+    return (partial(pdf, LaplaceDist(0.0, b)), partial(pdf, LaplaceDist(delta, b)),
+            np.linspace(lower, delta + 10 * b, 2000))
+
+
+def _mass_below_zero(base: LaplaceDist) -> float:
+    """F(0), the base mass that restriction removes.  The restricted law is
+    defined for a nonnegative true value: at a location below 0, 1 - F(0)
+    cancels (it is 0.0 at -40), so such a location is a ValueError."""
+    if base.location < 0:
+        raise ValueError(f"restricted law needs a location >= 0, got {base.location}")
+    return laplace_cdf(base, 0.0)
 
 
 def restricted_cdf(base: LaplaceDist, t):
     """cdf of the base law renormalized to [0, inf):
     (F(t) - F(0)) / (1 - F(0)) for t >= 0, zero below."""
+    mass_below_zero = _mass_below_zero(base)
     arr = np.asarray(t, dtype=float)
-    mass_below_zero = laplace_cdf(base, 0.0)
     out = np.where(
         arr < 0, 0.0,
         (laplace_cdf(base, np.maximum(arr, 0.0)) - mass_below_zero) / (1.0 - mass_below_zero),
@@ -295,7 +306,7 @@ def restricted_cdf(base: LaplaceDist, t):
 
 def restricted_pdf(base: LaplaceDist, x):
     """Density of the renormalized law: f(x)/(1 - F(0)) on [0, inf)."""
-    normalizer = 1.0 - laplace_cdf(base, 0.0)
+    normalizer = 1.0 - _mass_below_zero(base)
     if isinstance(x, float):
         density = laplace_pdf(base, x) / normalizer
         return 0.0 if x < 0 else density
@@ -328,7 +339,7 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 def restricted_quantile(base: LaplaceDist, u):
     """Generalized inverse of the restricted cdf at u in (0, 1): the base
     quantile at F(0) + u*(1 - F(0))."""
-    mass_below_zero = laplace_cdf(base, 0.0)
+    mass_below_zero = _mass_below_zero(base)
     p = mass_below_zero + u * (1.0 - mass_below_zero)
     # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
     p = min(p, _BELOW_ONE) if isinstance(p, float) else np.minimum(p, _BELOW_ONE, out=p)
@@ -371,12 +382,10 @@ def _draw(spec: MechanismSpec, q: float, rng: RngState, size: int | None):
         return np.multiply(np.exp(noise, out=noise), q, out=noise)
     if spec.scale == 0.0:
         value = float(q) if size is None else np.full(size, float(q))
-        if spec.variant is Variant.POST_PROCESSED:
-            return apply_postprocessor(spec.postprocessor, value)
-        return value
-    base = LaplaceDist(q, spec.scale)
-    if spec.variant is Variant.PLAIN:
-        return sample_laplace(base, rng, size)
-    if spec.variant is Variant.POST_PROCESSED:
-        return apply_postprocessor(spec.postprocessor, sample_laplace(base, rng, size))
-    return sample_restricted_inverse(base, rng, size)
+    elif spec.variant is Variant.RESTRICTED:
+        return sample_restricted_inverse(LaplaceDist(q, spec.scale), rng, size)
+    else:
+        value = sample_laplace(LaplaceDist(q, spec.scale), rng, size)
+    if spec.postprocessor is not None:
+        return apply_postprocessor(spec.postprocessor, value)
+    return value

@@ -104,16 +104,22 @@ def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:
     return total / len(d)
 
 
+def _checked_bounds(bounds: tuple[float, float], n: int) -> tuple[float, float]:
+    """The bounds of a dataset of size n >= 1; nan bounds fail, as in :class:`Dataset`."""
+    lower, upper = bounds
+    if n < 1:
+        raise ValueError("dataset size must be at least 1")
+    if not (lower <= upper):
+        raise ValueError("bounds must satisfy lower <= upper")
+    return lower, upper
+
+
 def sensitivity(qd: QueryDescriptor, bounds: tuple[float, float], n: int) -> float:
     """Worst-case |Q(d) - Q(d')| over replace-one adjacent pairs.
 
     count -> 1, bounded sum -> (u - l), bounded mean -> (u - l)/n.
     """
-    lower, upper = bounds
-    if n < 1:
-        raise ValueError("dataset size must be at least 1")
-    if lower > upper:
-        raise ValueError("bounds must satisfy lower <= upper")
+    lower, upper = _checked_bounds(bounds, n)
     if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
         return 1.0
     if qd.kind is QueryKind.BOUNDED_SUM:
@@ -131,11 +137,7 @@ def relative_bound_K(qd: QueryDescriptor, bounds: tuple[float, float], n: int) -
     positive floor on the count is declared, in which case it is 1/floor.
     Infinity is returned in-band, never raised.
     """
-    lower, upper = bounds
-    if n < 1:
-        raise ValueError("dataset size must be at least 1")
-    if lower > upper:
-        raise ValueError("bounds must satisfy lower <= upper")
+    lower, upper = _checked_bounds(bounds, n)
     if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
         if qd.count_floor is None:
             return math.inf

@@ -21,22 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bias import truncated_exp_moment
-from .distributions import LaplaceDist, RngState, laplace_cdf, laplace_quantile, log_laplace_mgf
-from .mechanisms import MechanismSpec, restricted_cdf, restricted_quantile, sample_mechanism
+from .bias import _truncated_exp_moment
+from .distributions import LaplaceDist, RngState, laplace_quantile, log_laplace_mgf
+from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
 __all__ = [
     "DpCertificate",
     "McEstimate",
-    "DominanceResult",
     "DivergenceReport",
     "certify_dp_densities",
     "mc_bias",
-    "check_stochastic_dominance",
     "coupling_bias_lower_bound",
     "check_divergence_log_laplace",
 ]
@@ -66,11 +64,6 @@ class McEstimate:
     n: int
     seed: int
     warning: str | None = None
-
-
-class DominanceResult(NamedTuple):
-    dominates: bool
-    min_gap: float
 
 
 @dataclass(frozen=True)
@@ -139,15 +132,6 @@ def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
                       warning=spec.warning)
 
 
-def check_stochastic_dominance(base: LaplaceDist, grid: Sequence[float]) -> DominanceResult:
-    """Verify the restricted cdf sits strictly below the base cdf on the grid."""
-    xs = np.asarray(grid, dtype=float)
-    if xs.size == 0:
-        raise ValueError("grid must be non-empty")
-    gap = laplace_cdf(base, xs) - restricted_cdf(base, xs)
-    return DominanceResult(dominates=bool(np.all(gap > 0.0)), min_gap=float(np.min(gap)))
-
-
 def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
     """Mean gap between the restricted and base quantiles on a shared uniform grid.
 
@@ -173,8 +157,8 @@ def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> Divergence
     divergence is flagged when the overall growth reaches
     ``_DIVERGENCE_GROWTH``.  For b < 1 the values approach the closed-form
     moment and ``converged`` reports whether the last radius got within
-    ``_CONVERGENCE_TOL``.  A radius whose moment overflows is a ValueError
-    naming it.
+    ``_CONVERGENCE_TOL``.  Every radius must be finite and > 0, and one whose
+    moment overflows is a ValueError naming it.
 
     At b = 1 the truncated moment is (1/2)((1 - exp(-2T))/2 + T), linear in
     T, so the growth factor is about T_last/T_first: to flag divergence at
@@ -184,9 +168,11 @@ def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> Divergence
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"scale must be positive and finite, got {b}")
     radii = tuple(float(r) for r in radii)
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError(f"radii must be finite and > 0, got {radii}")
     if len(radii) < 2 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing, at least two")
-    values = tuple(truncated_exp_moment(b, r) for r in radii)
+    values = tuple(_truncated_exp_moment(b, r) for r in radii)
     increasing = all(v2 > v1 for v1, v2 in zip(values, values[1:]))
     growth = values[-1] / values[0]
     limit = log_laplace_mgf(b, 1.0)

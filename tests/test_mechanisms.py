@@ -251,6 +251,16 @@ class TestLevelAndWarningFollowScale:
         with pytest.raises(ValueError, match="scale"):
             replace(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale=scale)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_spec_has_a_postprocessor_exactly_when_post_processed(self, variant):
+        # A post-processed spec without one raised AttributeError when sampled;
+        # a plain spec given a ramp ignored it.
+        ramp = PostProcessor.ramp()
+        pp, other = (ramp, None) if variant is Variant.POST_PROCESSED else (None, ramp)
+        MechanismSpec(variant, PrivacyParams(1.0, 1.0), 0.25, pp)
+        with pytest.raises(ValueError, match="post-processor"):
+            MechanismSpec(variant, PrivacyParams(1.0, 1.0), 0.25, other)
+
 
 class TestRestrictedLaw:
     def test_cdf_values(self):
@@ -279,6 +289,22 @@ class TestRestrictedLaw:
             base = LaplaceDist(q, b)
             grid = np.linspace(-10 * b, q + 10 * b, 2000)
             assert np.all(restricted_cdf(base, grid) < laplace_cdf(base, grid))
+
+    @pytest.mark.parametrize("loc", [-1e-300, -1.0, -20.0, -40.0])
+    def test_negative_location_is_value_error(self, loc):
+        # Below -20 the normaliser 1 - F(0) cancels: at -40 the pdf and cdf
+        # divided by zero and the quantile at 0.5 was -3.956, a negative draw.
+        base = LaplaceDist(loc, 1.0)
+        for call in (lambda: restricted_cdf(base, 1.0), lambda: restricted_pdf(base, 1.0),
+                     lambda: restricted_quantile(base, 0.5),
+                     lambda: restricted_pdf(base, np.array([0.0, 1.0])),
+                     lambda: sample_restricted_inverse(base, RngState(1), size=3)):
+            with pytest.raises(ValueError, match="location"):
+                call()
+
+    def test_signed_zero_location_is_the_origin(self):
+        assert restricted_pdf(LaplaceDist(-0.0, 1.0), 1.0) == restricted_pdf(
+            LaplaceDist(0.0, 1.0), 1.0)
 
 
 class TestRestrictedSamplers:

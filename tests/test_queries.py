@@ -92,6 +92,21 @@ class TestSensitivity:
         np.testing.assert_allclose(means / widths, 0.2, rtol=1e-15)
 
 
+class TestBoundsCheck:
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)])
+    @pytest.mark.parametrize("qd", [MEAN, SUM, count_above(0.5)], ids=["mean", "sum", "count"])
+    def test_bounds_out_of_order_or_nan_are_rejected(self, qd, bounds):
+        # nan bounds returned nan from both functions.
+        for func in (sensitivity, relative_bound_K):
+            with pytest.raises(ValueError, match="lower <= upper"):
+                func(qd, bounds, 3)
+
+    def test_size_below_one_is_rejected_by_both(self):
+        for func in (sensitivity, relative_bound_K):
+            with pytest.raises(ValueError, match="at least 1"):
+                func(MEAN, (1.0, 2.0), 0)
+
+
 class TestRelativeBound:
     def test_mean_with_positive_floor(self):
         assert relative_bound_K(MEAN, (0.1, 1.0), 10) == (1 - 0.1) / (0.1 * 10)

@@ -9,6 +9,7 @@ from nonneg_dp.bias import bias_bit, bias_restricted, bias_translated_ramp, opti
 from nonneg_dp.distributions import (
     LaplaceDist,
     RngState,
+    laplace_cdf,
     laplace_pdf,
     laplace_quantile,
     log_laplace_mgf,
@@ -21,6 +22,7 @@ from nonneg_dp.mechanisms import (
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
+    restricted_cdf,
     restricted_pdf,
     restricted_quantile,
     sample_mechanism,
@@ -28,7 +30,6 @@ from nonneg_dp.mechanisms import (
 from nonneg_dp.verify import (
     certify_dp_densities,
     check_divergence_log_laplace,
-    check_stochastic_dominance,
     coupling_bias_lower_bound,
     mc_bias,
 )
@@ -218,28 +219,26 @@ class TestMcBiasOfLargeBatches:
 
 
 class TestStochasticDominance:
+    """The restricted cdf sits strictly below the base cdf: the gap
+    F_base - F_restricted is positive at every grid point."""
+
+    @staticmethod
+    def _gap(base, grid):
+        return laplace_cdf(base, grid) - restricted_cdf(base, grid)
+
     def test_strict_dominance_at_origin(self):
-        base = LaplaceDist(0.0, 1.0)
-        grid = np.arange(-5.0, 10.0, 0.01)
-        result = check_stochastic_dominance(base, grid)
-        assert result.dominates
-        assert result.min_gap > 0
+        gap = self._gap(LaplaceDist(0.0, 1.0), np.arange(-5.0, 10.0, 0.01))
+        assert np.all(gap > 0.0)
+        assert np.min(gap) > 0
 
     def test_far_location_keeps_tiny_positive_gap(self):
-        base = LaplaceDist(10.0, 0.5)
-        grid = np.linspace(-5.0, 15.0, 3000)
-        result = check_stochastic_dominance(base, grid)
-        assert result.dominates
-        assert 0 < result.min_gap < 1e-9
+        gap = self._gap(LaplaceDist(10.0, 0.5), np.linspace(-5.0, 15.0, 3000))
+        assert np.all(gap > 0.0)
+        assert 0 < np.min(gap) < 1e-9
 
     def test_negative_axis_gap_is_full_cdf(self):
-        base = LaplaceDist(0.0, 1.0)
-        result = check_stochastic_dominance(base, np.linspace(-8, -0.1, 200))
-        assert result.dominates
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            check_stochastic_dominance(LaplaceDist(0.0, 1.0), [])
+        gap = self._gap(LaplaceDist(0.0, 1.0), np.linspace(-8, -0.1, 200))
+        assert np.all(gap > 0.0)
 
 
 class TestCouplingBias:
@@ -260,6 +259,11 @@ class TestCouplingBias:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             coupling_bias_lower_bound(LaplaceDist(0.0, 1.0), 99)
+
+    def test_rejects_negative_location(self):
+        # At -40 it returned 35.97 where the gap is 41.
+        with pytest.raises(ValueError, match="location"):
+            coupling_bias_lower_bound(LaplaceDist(-40.0, 1.0), 1000)
 
     def test_both_quantiles_see_the_same_omega_grid(self):
         # Neither quantile may write into the shared grid before the other reads it.
@@ -302,6 +306,14 @@ class TestDivergenceCheck:
             check_divergence_log_laplace(1.0, (10, 10))
         with pytest.raises(ValueError):
             check_divergence_log_laplace(1.0, (10,))
+
+    @pytest.mark.parametrize("radii", [(0.0, 10.0), (-10.0, -5.0), (10.0, math.inf),
+                                       (5.0, math.nan, 10.0), (math.nan, 10.0)])
+    def test_rejects_radii_not_finite_and_positive(self, radii):
+        # At radius 0 the moments divided by zero, negative radii gave negative
+        # "moments", inf reached scipy, and a nan passed the ordering check.
+        with pytest.raises(ValueError, match="finite and > 0"):
+            check_divergence_log_laplace(1.0, radii)
 
 
 class TestDivergenceOverflow:
