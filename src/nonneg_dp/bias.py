@@ -27,8 +27,8 @@ import math
 import warnings
 from typing import Callable
 
-from .distributions import LaplaceDist
-from .mechanisms import MechanismSpec, PostProcessor, Variant, apply_postprocessor, restricted_pdf
+from .distributions import LaplaceDist, laplace_pdf
+from .mechanisms import MechanismSpec, PostProcessor, Variant, _mass_below_zero, apply_postprocessor
 
 __all__ = [
     "bias_bit",
@@ -230,7 +230,13 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     if spec.variant is Variant.PLAIN:
         return b * _integrate(lambda t: t * math.exp(-abs(t)) / 2.0, lo, hi, [0.0])
     if spec.variant is Variant.RESTRICTED:
+        # restricted_pdf's f(x)/(1 - F(0)), zero below 0, with 1 - F(0) taken once.
         base = LaplaceDist(q, b)
-        return b * _integrate(lambda t: t * b * restricted_pdf(base, q + b * t),
-                              max(lo, -q / b), hi, [0.0])
+        normalizer = 1.0 - _mass_below_zero(base)
+
+        def excess(t: float) -> float:
+            x = q + b * t
+            return t * b * (0.0 if x < 0 else laplace_pdf(base, x) / normalizer)
+
+        return b * _integrate(excess, max(lo, -q / b), hi, [0.0])
     return _postprocessed_mean(spec.postprocessor, q, b, q)

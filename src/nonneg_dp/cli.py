@@ -12,6 +12,7 @@ configuration error, including a domain error raised by the library.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -280,21 +281,23 @@ def _number(kind: type, low: float, strict: bool = False):
 _POSITIVE = _number(float, 0, strict=True)
 _NONNEGATIVE = _number(float, 0)
 _FINITE = _number(float, -math.inf)
+_SEED = _number(int, 0)
 
 _CONFIG = _Parser(add_help=False)
 _CONFIG.add_argument("--config", help="JSON object of flag values keyed by flag name; "
                                       "flags on the command line override it")
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name.  Each option's type,
-    range, choices and default are declared here and nowhere else."""
+    """The parser and its subcommand parsers by name, built once per process
+    (parsing never changes them).  Each option's type, range, choices and
+    default are declared here and nowhere else."""
     common = _Parser(add_help=False, parents=[_CONFIG])
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"),
                         help="default: csv for curves, json for single reports")
-    common.add_argument("--seed", type=_number(int, 0), default=os.environ.get("NONNEG_DP_SEED", "0"),
-                        help="RNG seed (default: $NONNEG_DP_SEED, then 0)")
+    common.add_argument("--seed", type=_SEED, help="RNG seed (default: $NONNEG_DP_SEED, then 0)")
 
     eps = _Parser(add_help=False)
     eps.add_argument("--epsilon", type=_POSITIVE, default=1.0)
@@ -384,6 +387,12 @@ def main(argv: list[str] | None = None) -> int:
             if path is not None:
                 argv[1:1] = _config_flags(path, commands[argv[0]])
         args = parser.parse_args(argv)
+        if args.seed is None:
+            # Read per call, so the cached parser holds no environment value.
+            try:
+                args.seed = _SEED(os.environ.get("NONNEG_DP_SEED", "0"))
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"argument --seed: {exc}") from None
         return args.handler(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

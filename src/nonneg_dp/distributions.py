@@ -17,8 +17,9 @@ Each per-point function takes a float (Python or numpy scalar) or an array.
 A float skips numpy's array machinery but applies the same ``np.log`` and
 ``np.exp``, so a scalar result is a Python ``float`` equal bit for bit to the
 array result at the same point: a scalar draw equals the batched draw at the
-same uniform.  The batched quantile takes one log per draw, is branch-free
-and never writes into its input.
+same uniform.  The batched quantile takes one log per draw and is
+branch-free; the public one never writes into its input, and the batched
+sampler runs the same steps in place over its output blocks.
 """
 
 from __future__ import annotations
@@ -76,13 +77,15 @@ class RngState:
         self.seed = int(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
-    def uniform(self, size: int | None = None):
-        """One uniform draw in (0, 1), or an array of ``size`` draws."""
-        u = self._gen.random(size)
+    def uniform(self, size: int | None = None, out: np.ndarray | None = None):
+        """One uniform draw in (0, 1), or an array of ``size`` draws, written
+        into ``out`` (of ``size`` elements) when it is given."""
         # Generator.random() yields [0, 1); nudge an exact 0 to the smallest
         # positive double rather than consuming a second draw.
         if size is None:
+            u = self._gen.random()
             return float(u) if u > 0.0 else _TINY
+        u = self._gen.random(size, out=out)
         return np.maximum(u, _TINY, out=u)
 
 
@@ -129,15 +132,25 @@ def laplace_quantile(dist: LaplaceDist, p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("probability out of range")
-    # loc - copysign(b, p - 0.5) log(2 min(p, 1 - p)), one log per point, equals
-    # both scalar branches bit for bit (p = 0.5 takes the upper: p - 0.5 = +0.0).
-    # Fresh buffers, so the caller's array is never written.
-    out = np.subtract(1.0, arr, out=np.empty(arr.shape))
-    np.log(np.multiply(np.minimum(arr, out, out=out), 2.0, out=out), out=out)
-    sign = np.subtract(arr, 0.5, out=np.empty(arr.shape))
-    out *= np.copysign(dist.scale, sign, out=sign)
-    np.subtract(dist.location, out, out=out)
+    out = _quantile_in_place(dist, arr.copy(), np.empty(arr.shape))
     return out if arr.ndim else float(out)
+
+
+def _quantile_in_place(dist: LaplaceDist, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``p``, all in (0, 1), with the quantile of
+    ``dist`` at each point, using ``scratch`` (same shape) for the log term;
+    returns ``p``.  Nothing is checked or allocated: the caller vouches for
+    the range.
+
+    It computes loc - copysign(b, p - 0.5) log(2 min(p, 1 - p)), one log per
+    point, which equals both scalar branches of :func:`laplace_quantile` bit
+    for bit (p = 0.5 takes the upper: p - 0.5 = +0.0).
+    """
+    np.subtract(1.0, p, out=scratch)
+    np.log(np.multiply(np.minimum(p, scratch, out=scratch), 2.0, out=scratch), out=scratch)
+    np.copysign(dist.scale, np.subtract(p, 0.5, out=p), out=p)
+    np.multiply(p, scratch, out=p)
+    return np.subtract(dist.location, p, out=p)
 
 
 def sample_laplace(dist: LaplaceDist, rng: RngState, size: int | None = None):

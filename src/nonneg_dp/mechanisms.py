@@ -33,6 +33,7 @@ import numpy as np
 from .distributions import (
     LaplaceDist,
     RngState,
+    _quantile_in_place,
     laplace_cdf,
     laplace_pdf,
     laplace_quantile,
@@ -170,14 +171,17 @@ def apply_postprocessor(pp: PostProcessor, x):
         if value < 0:
             raise ValueError("post-processor not nonnegative")
         return value
-    arr = np.asarray(x, dtype=float)
-    if pp.kind == "translated-ramp":
-        out = np.subtract(arr, pp.alpha, out=np.empty(arr.shape))
-        np.maximum(out, 0.0, out=out)
-    else:
-        out = np.array([apply_postprocessor(pp, v) for v in arr.ravel().tolist()],
-                       dtype=float).reshape(arr.shape)
+    out = _postprocess_in_place(pp, np.array(x, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def _postprocess_in_place(pp: PostProcessor, x: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``x`` with the post-processed outputs; returns ``x``."""
+    if pp.kind == "translated-ramp":
+        return np.maximum(np.subtract(x, pp.alpha, out=x), 0.0, out=x)
+    x[...] = np.array([apply_postprocessor(pp, v) for v in x.ravel().tolist()],
+                      dtype=float).reshape(x.shape)
+    return x
 
 
 class Variant(enum.Enum):
@@ -351,41 +355,66 @@ def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None
     return restricted_quantile(base, rng.uniform(size))
 
 
-# Draws per block of a large batch: 128 KiB per temporary array, which stays in cache.
+# Draws per block of a batch: 128 KiB of the output and of the one scratch
+# buffer, which stay in cache.
 _BLOCK = 2**14
 
 
 def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | None = None):
-    """Draw one output (or ``size`` outputs) of the mechanism at true value q.
+    """Draw one output (or an array of ``size`` outputs) of the mechanism at true value q.
 
-    More than ``_BLOCK`` outputs are drawn block by block into one array.
-    The uniforms come from the same stream and every later step is
-    elementwise, so the array equals a single batch bit for bit."""
-    if size is None or size <= _BLOCK:
-        return _draw(spec, q, rng, size)
-    out = np.empty(size)
-    for start in range(0, size, _BLOCK):
-        block = out[start:start + _BLOCK]
-        block[:] = _draw(spec, q, rng, block.size)
-    return out
-
-
-def _draw(spec: MechanismSpec, q: float, rng: RngState, size: int | None):
+    A batch is drawn in place, ``_BLOCK`` draws at a time, into its one
+    output array.  Each block's uniforms are written into its slice of the
+    output, and the variant's transform runs over that slice with one
+    scratch block: the Laplace quantile, after restriction's base
+    probability F(0) + u(1 - F(0)) capped below 1, followed by exp and the
+    product with q (multiplicative) or the post-processor.  Every step is
+    elementwise and the uniforms come from the stream in order, so the batch
+    equals the public per-array functions run over all its uniforms at once,
+    bit for bit, and leaves the stream where they do.  Without noise (scale
+    0) no uniform is drawn.
+    """
     if not (math.isfinite(q) and q >= 0):
         raise ValueError(f"query value must be nonnegative and finite, got {q}")
-    if spec.variant is Variant.MULTIPLICATIVE:
-        if q == 0.0:
-            raise ValueError("query must be strictly positive for the multiplicative mechanism")
-        noise = sample_laplace(LaplaceDist(0.0, spec.scale), rng, size)
-        if size is None:
-            return float(q) * float(np.exp(noise))
-        return np.multiply(np.exp(noise, out=noise), q, out=noise)
+    multiplicative = spec.variant is Variant.MULTIPLICATIVE
+    if multiplicative and q == 0.0:
+        raise ValueError("query must be strictly positive for the multiplicative mechanism")
+    if size is not None:
+        return _sample_batch(spec, q, rng, size)
+    if multiplicative:
+        noise = sample_laplace(LaplaceDist(0.0, spec.scale), rng)
+        return float(q) * float(np.exp(noise))
     if spec.scale == 0.0:
-        value = float(q) if size is None else np.full(size, float(q))
+        value = float(q)
     elif spec.variant is Variant.RESTRICTED:
-        return sample_restricted_inverse(LaplaceDist(q, spec.scale), rng, size)
+        return sample_restricted_inverse(LaplaceDist(q, spec.scale), rng)
     else:
-        value = sample_laplace(LaplaceDist(q, spec.scale), rng, size)
+        value = sample_laplace(LaplaceDist(q, spec.scale), rng)
     if spec.postprocessor is not None:
         return apply_postprocessor(spec.postprocessor, value)
     return value
+
+
+def _sample_batch(spec: MechanismSpec, q: float, rng: RngState, size: int) -> np.ndarray:
+    out = np.empty(size)
+    multiplicative = spec.variant is Variant.MULTIPLICATIVE
+    if spec.scale == 0.0 and not multiplicative:
+        out.fill(float(q))
+        return out if spec.postprocessor is None else _postprocess_in_place(spec.postprocessor, out)
+    dist = LaplaceDist(0.0 if multiplicative else q, spec.scale)
+    mass_below_zero = _mass_below_zero(dist) if spec.variant is Variant.RESTRICTED else None
+    scratch = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        block = out[start:start + _BLOCK]
+        # Uniforms in (0, 1), and restricted probabilities in (0, _BELOW_ONE],
+        # are in the quantile's range.
+        rng.uniform(block.size, out=block)
+        if mass_below_zero is not None:
+            np.multiply(block, 1.0 - mass_below_zero, out=block)
+            np.minimum(np.add(mass_below_zero, block, out=block), _BELOW_ONE, out=block)
+        _quantile_in_place(dist, block, scratch[:block.size])
+        if multiplicative:
+            np.multiply(np.exp(block, out=block), q, out=block)
+        elif spec.postprocessor is not None:
+            _postprocess_in_place(spec.postprocessor, block)
+    return out

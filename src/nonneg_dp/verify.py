@@ -120,16 +120,29 @@ def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
     """Empirical bias from n seeded draws, with its standard error.
 
     Both equal numpy's ``mean`` and ``std(ddof=1)/sqrt(n)`` of the draws bit
-    for bit, and the draws array is the only large one held."""
+    for bit, and the draws array is the only large one held.  Where a sum
+    overflows (draws near the top of the float range, as at b = 1e300), both
+    are taken again over the draws scaled by an exact power of two and scaled
+    back."""
     if n < 100:
         raise ValueError("need at least 100 draws for a standard error")
     draws = sample_mechanism(spec, q, RngState(seed), size=n)
-    # np.mean's and np.std's steps, summing once; nothing else holds the draws.
+    with np.errstate(over="ignore"):
+        mean, stderr = _mean_and_stderr(draws, n)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        # The first pass overwrote the draws; the seed gives them again.
+        draws = sample_mechanism(spec, q, RngState(seed), size=n)
+        exponent = math.frexp(max(float(draws.max()), -float(draws.min())))[1]
+        mean, stderr = _mean_and_stderr(np.ldexp(draws, -exponent, out=draws), n)
+        mean, stderr = math.ldexp(mean, exponent), math.ldexp(stderr, exponent)
+    return McEstimate(mean=mean - q, stderr=stderr, n=n, seed=seed, warning=spec.warning)
+
+
+def _mean_and_stderr(draws: np.ndarray, n: int) -> tuple[float, float]:
+    """np.mean's and np.std's steps, summing once; overwrites ``draws``."""
     mean = np.add.reduce(draws, keepdims=True) / n
     np.square(np.subtract(draws, mean, out=draws), out=draws)
-    stderr = math.sqrt(float(np.add.reduce(draws)) / (n - 1)) / math.sqrt(n)
-    return McEstimate(mean=float(mean[0]) - q, stderr=stderr, n=n, seed=seed,
-                      warning=spec.warning)
+    return float(mean[0]), math.sqrt(float(np.add.reduce(draws)) / (n - 1)) / math.sqrt(n)
 
 
 def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:

@@ -511,6 +511,14 @@ class TestErrorHandling:
         _, [[_, closed, quad, _, _]], _ = read_csv_report(str(out))
         assert quad == pytest.approx(closed, rel=1e-13)
 
+    def test_monte_carlo_near_the_top_of_the_float_range(self, capsys):
+        assert run("bias-curve", "--mechanism", "laplace", "--sensitivity", "1e300",
+                   "--q-min", "1e306", "--q-max", "1e306", "--q-points", "1",
+                   "--samples", "1000") == 0
+        # Both Monte Carlo columns were inf.
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in row)
+
     def test_unknown_mechanism_exits_via_argparse(self, capsys):
         assert run("bias-curve", "--mechanism", "bogus") == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -559,6 +567,42 @@ class TestColdImport:
         with pytest.raises(AttributeError):
             cli.no_such_name
 
+
+class TestParserReuse:
+    """The parser is built once per process, and no flag value or default of
+    one call carries over into the next."""
+
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "import nonneg_dp.cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = nonneg_dp.cli.main(argv)\n"
+        "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+
+    def _process(self, *argvs):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("NONNEG_DP_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)   # [exit code, stdout, stderr] per call
+
+    def test_calls_in_one_process_equal_calls_on_their_own(self, tmp_path):
+        config = write_config(tmp_path, {"mechanism": "restricted", "q_points": 2, "q_max": 3,
+                                         "samples": 1000, "seed": 5, "format": "json"})
+        argvs = [
+            ["mc-validate", "--mechanism", "restricted", "--samples", "10"],
+            ["mc-validate", "--config", config, "--alpha", "0.5"],
+            ["mc-validate", "--q-points", "2", "--samples", "1000"],
+        ]
+        together = self._process(*argvs)
+        assert [code for code, _, _ in together] == [2, 0, 0]
+        assert together[1][1] != together[2][1]
+        assert together == [self._process(argv)[0] for argv in argvs]
 
 class TestDeterminismAndRoundTrip:
     def test_repeat_runs_are_byte_identical(self, tmp_path):

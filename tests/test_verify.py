@@ -218,6 +218,28 @@ class TestMcBiasOfLargeBatches:
         assert peak < 1.25 * 8 * n
 
 
+class TestMcBiasNearTheTopOfTheFloatRange:
+    """At b = 1e300 the sum of the draws or of their squared deviations
+    overflows; ``mc_bias`` takes both again over the draws scaled by a power
+    of two, with no warning."""
+
+    def test_equals_the_scaled_estimate_at_a_power_of_two_scale(self):
+        # At q = 0 and b = 2**996 every draw is exactly 2**996 times the
+        # draw at b = 1, so the estimate scales exactly too.
+        unit = mc_bias(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), 0.0, 10**5, seed=1)
+        huge = mc_bias(make_laplace_mechanism(PrivacyParams(1.0, 2.0**996)), 0.0, 10**5, seed=1)
+        assert huge.mean == unit.mean * 2.0**996
+        assert huge.stderr == unit.stderr * 2.0**996
+
+    @pytest.mark.parametrize("q,n", [(0.0, 10**5), (1e306, 1000)])
+    def test_finite_and_unbiased_at_b_1e300(self, q, n):
+        b = 1e300
+        est = mc_bias(make_laplace_mechanism(PrivacyParams(1.0, b)), q, n, seed=1)
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+        assert est.stderr == pytest.approx(math.sqrt(2.0) * b / math.sqrt(n), rel=0.1)
+        assert abs(est.mean) <= 4 * est.stderr
+
+
 class TestStochasticDominance:
     """The restricted cdf sits strictly below the base cdf: the gap
     F_base - F_restricted is positive at every grid point."""
