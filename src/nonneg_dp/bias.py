@@ -24,10 +24,8 @@ independent cross-check for the closed forms.  ``closed_form_bias`` and
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Callable
 
-from .distributions import LaplaceDist, laplace_pdf
+from .distributions import LaplaceDist, _integrate, laplace_pdf
 from .mechanisms import MechanismSpec, PostProcessor, Variant, _mass_below_zero, apply_postprocessor
 
 __all__ = [
@@ -133,25 +131,6 @@ def bias_ratio_restricted_vs_bit(q: float, epsilon: float, delta_sens: float) ->
     return 2.0 * growth * (s + 2.0) / (2.0 - math.exp(-s / 2.0))
 
 
-def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
-               points: list[float]) -> float:
-    """Adaptive quadrature of ``integrand`` over [lo, hi], split at the
-    ``points`` inside it; ValueError when quad reports trouble beyond its
-    tolerance or the value is not finite."""
-    from scipy import integrate
-
-    breakpoints = [x for x in points if lo < x < hi] or None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, abserr = integrate.quad(integrand, lo, hi, points=breakpoints,
-                                       epsabs=1e-12, epsrel=1e-10, limit=400)
-    trouble = any(issubclass(w.category, integrate.IntegrationWarning) for w in caught)
-    tolerance = max(1e-10, 1e-8 * abs(value))
-    if not math.isfinite(value) or (trouble and abserr > tolerance):
-        raise ValueError("integrand not integrable")
-    return value
-
-
 def _postprocessed_mean(pp: PostProcessor, q: float, b: float, offset: float) -> float:
     """E[pp(q + noise)] - offset, integrated in t = noise/b over [-40, 40],
     outside which the density is below 1e-16 of its peak.  The integrand is of
@@ -171,16 +150,6 @@ def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) 
     _require_positive_scale(b)
     _require_nonnegative("q", q)
     return _postprocessed_mean(pp, q, b, 0.0)
-
-
-def _truncated_exp_moment(b: float, radius: float) -> float:
-    """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
-    [-radius, radius]; ValueError once exp(radius) overflows."""
-    try:
-        return _integrate(lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
-                          -radius, radius, [0.0])
-    except OverflowError:
-        raise ValueError(f"truncated moment overflows at radius {radius:g}") from None
 
 
 def closed_form_bias(spec: MechanismSpec, q: float) -> float:

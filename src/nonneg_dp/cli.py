@@ -6,7 +6,8 @@ Each option is declared once, on its flag; a JSON ``--config`` file goes
 through the same parse, and flags on the command line win.  Every
 mechanism fact (scale, privacy level, warning, bias, density) comes from the
 library.  Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error, including a domain error raised by the library.
+configuration error, including a domain error raised by the library and
+a sample count too large to allocate.
 """
 
 from __future__ import annotations
@@ -394,8 +395,8 @@ def main(argv: list[str] | None = None) -> int:
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"argument --seed: {exc}") from None
         return args.handler(args)
-    except (UsageError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

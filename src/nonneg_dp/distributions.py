@@ -20,13 +20,17 @@ array result at the same point: a scalar draw equals the batched draw at the
 same uniform.  The batched quantile takes one log per draw and is
 branch-free; the public one never writes into its input, and the batched
 sampler runs the same steps in place over its output blocks.
+
+``_integrate`` is the package's one quadrature; it imports scipy when it runs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -170,3 +174,27 @@ def log_laplace_mgf(b: float, k: float) -> float:
     if abs(k) * b >= 1.0:
         return math.inf
     return 1.0 / (1.0 - (k * b) ** 2)
+
+
+def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
+               points: list[float]) -> float:
+    """The package's one quadrature: adaptive quad of ``integrand`` over [lo, hi],
+    split at the ``points`` inside it (epsabs 1e-12, epsrel 1e-10, 400
+    subintervals).  ValueError("integrand not integrable") when the value is
+    not finite, when quad calls the integral probably divergent, or when it
+    reports other trouble with an error estimate above max(1e-10, 1e-8|value|).
+    An exception of the integrand, such as OverflowError, propagates."""
+    from scipy import integrate
+
+    breakpoints = [x for x in points if lo < x < hi] or None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value, abserr = integrate.quad(integrand, lo, hi, points=breakpoints,
+                                       epsabs=1e-12, epsrel=1e-10, limit=400)
+    trouble = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
+    # QUADPACK's ier = 5, whose error estimate means nothing.
+    divergent = any(message.startswith("The integral is probably divergent") for message in trouble)
+    tolerance = max(1e-10, 1e-8 * abs(value))
+    if not math.isfinite(value) or divergent or (trouble and abserr > tolerance):
+        raise ValueError("integrand not integrable")
+    return value

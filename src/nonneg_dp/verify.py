@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bias import _truncated_exp_moment
-from .distributions import LaplaceDist, RngState, laplace_quantile, log_laplace_mgf
+from .distributions import LaplaceDist, RngState, _integrate, laplace_quantile, log_laplace_mgf
 from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
 __all__ = [
@@ -162,6 +161,16 @@ def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
     return float(np.trapezoid(gap, omega))
 
 
+def _truncated_exp_moment(b: float, radius: float) -> float:
+    """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
+    [-radius, radius]; ValueError once exp(radius) overflows."""
+    try:
+        return _integrate(lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
+                          -radius, radius, [0.0])
+    except OverflowError:
+        raise ValueError(f"truncated moment overflows at radius {radius:g}") from None
+
+
 def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> DivergenceReport:
     """Witness the finite/infinite dichotomy of E[exp(noise)] at scale b.
 
@@ -171,12 +180,8 @@ def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> Divergence
     ``_DIVERGENCE_GROWTH``.  For b < 1 the values approach the closed-form
     moment and ``converged`` reports whether the last radius got within
     ``_CONVERGENCE_TOL``.  Every radius must be finite and > 0, and one whose
-    moment overflows is a ValueError naming it.
-
-    At b = 1 the truncated moment is (1/2)((1 - exp(-2T))/2 + T), linear in
-    T, so the growth factor is about T_last/T_first: to flag divergence at
-    the boundary scale the radius span must exceed roughly
-    ``_DIVERGENCE_GROWTH`` (e.g. (10, ..., 160)).
+    moment overflows is a ValueError naming it.  At b = 1 the growth is only
+    linear in T (see :class:`DivergenceReport`), so radii (10, ..., 160) flag it.
     """
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"scale must be positive and finite, got {b}")

@@ -380,10 +380,14 @@ class TestQuadratureEngine:
             assert expectation_postprocessed_quadrature(pp, q, 1.0) == 0.0
 
     def test_non_integrable_function_raises(self):
-        # bypasses the constructor check; the engine must still notice
-        pp = PostProcessor(kind="custom", func=lambda x: 1 / abs(x) if x else math.inf)
-        with pytest.raises(ValueError, match="not integrable"):
-            expectation_postprocessed_quadrature(pp, 1.0, 1.0)
+        # bypasses the constructor check; the engine must still notice.  At
+        # q = 0 quad calls |x|^-1.2 "probably divergent" with a tiny error
+        # estimate and a negative value, which must not pass as a mean.
+        for func, q in [(lambda x: 1 / abs(x) if x else math.inf, 1.0),
+                        (lambda x: abs(x) ** -1.2 if x else 0.0, 0.0)]:
+            pp = PostProcessor(kind="custom", func=func)
+            with pytest.raises(ValueError, match="not integrable"):
+                expectation_postprocessed_quadrature(pp, q, 1.0)
 
 
 class TestNumericSup:

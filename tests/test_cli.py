@@ -519,6 +519,15 @@ class TestErrorHandling:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert all(math.isfinite(float(cell)) for cell in row)
 
+    @pytest.mark.parametrize("command", ["bias-curve", "mc-validate"])
+    def test_sample_count_beyond_memory_is_usage_error(self, command, capsys):
+        # 8e16 bytes of draws, beyond a 48-bit address space: numpy refuses
+        # the allocation before it touches memory.
+        assert run(command, "--q-points", "1", "--samples", str(10**16)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_mechanism_exits_via_argparse(self, capsys):
         assert run("bias-curve", "--mechanism", "bogus") == 2
         assert capsys.readouterr().err.startswith("error: ")

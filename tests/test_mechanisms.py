@@ -79,15 +79,32 @@ class TestPostProcessor:
         pp = PostProcessor.custom(lambda x: x * x, scale=1.0)
         assert apply_postprocessor(pp, 3.0) == 9.0
         assert apply_postprocessor(pp, -2.0) == 4.0
+        # f^2 = |x|^-0.8 has an integrable singularity at 0
+        pp = PostProcessor.custom(lambda x: abs(x) ** -0.4 if x else 0.0, scale=1.0)
+        assert apply_postprocessor(pp, -1.0) == 1.0
+
+    @pytest.mark.parametrize("scale", np.logspace(-3, 3, 25).tolist())
+    def test_custom_softplus_accepted_at_every_scale(self, scale):
+        # The benchmark's post-processor, vetted at scale 1 by `release` and
+        # at log-uniform scales in [1e-2, 1e2] by `analysis`.
+        def softplus(x):
+            return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+        assert PostProcessor.custom(softplus, scale).func is softplus
 
     def test_custom_rejects_negative_function(self):
         with pytest.raises(ValueError, match="not nonnegative"):
             PostProcessor.custom(lambda x: x, scale=1.0)
 
     def test_custom_rejects_non_square_integrable(self):
-        # f^2 grows like exp(2|x|), overwhelming the exp(-|x|) weight
-        with pytest.raises(ValueError, match="square-integrable"):
-            PostProcessor.custom(lambda x: math.exp(abs(x)), scale=1.0)
+        # exp(|x|): f^2 grows like exp(2|x|), overwhelming the exp(-|x|)
+        # weight.  1/|x| (infinite mean) and |x|^-0.75 (infinite variance):
+        # f^2 is not integrable at 0.
+        for func in (lambda x: math.exp(abs(x)),
+                     lambda x: 1 / abs(x) if x else 0.0,
+                     lambda x: abs(x) ** -0.75 if x else 0.0):
+            with pytest.raises(ValueError, match="square-integrable"):
+                PostProcessor.custom(func, scale=1.0)
 
     def test_negative_output_caught_at_apply_time(self):
         # dips below zero only beyond the construction spot-check grid
