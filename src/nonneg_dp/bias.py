@@ -135,9 +135,9 @@ def _postprocessed_mean(pp: PostProcessor, q: float, b: float, offset: float) ->
     """E[pp(q + noise)] - offset, integrated in t = noise/b over [-40, 40],
     outside which the density is below 1e-16 of its peak.  The integrand is of
     order 1 at any b, so quad's absolute tolerance stays relative, and t = 0
-    and the ramp kink are breakpoints, so piecewise-smooth integrands keep
-    full convergence order."""
-    points = [0.0] if pp.kind == "custom" else [0.0, (pp.alpha - q) / b]
+    and the post-processor's kinks are breakpoints, so piecewise-smooth
+    integrands keep full convergence order."""
+    points = [0.0] + [(kink - q) / b for kink in pp.kinks]
 
     def excess(t: float) -> float:
         return (apply_postprocessor(pp, q + b * t) - offset) / b * math.exp(-abs(t)) / 2.0

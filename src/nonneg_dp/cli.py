@@ -21,9 +21,8 @@ import sys
 import warnings
 from dataclasses import replace
 
-import numpy as np
-
 from . import bias as bias_mod
+from .distributions import np
 from .mechanisms import (
     MechanismSpec,
     PostProcessor,
@@ -156,8 +155,14 @@ def _q_grid(args: argparse.Namespace) -> list[float]:
         raise UsageError("--q-log needs --q-min > 0")
     if args.q_points == 1:
         return [args.q_min]
-    space = np.geomspace if args.q_log else np.linspace
-    return space(args.q_min, args.q_max, args.q_points).tolist()
+    if args.q_log:
+        return np.geomspace(args.q_min, args.q_max, args.q_points).tolist()
+    # np.linspace's steps, bit for bit, without loading numpy: i*step + q_min,
+    # or i/div*delta + q_min where the step underflows to 0, and q_max last.
+    div = args.q_points - 1
+    delta = args.q_max - args.q_min
+    step = delta / div
+    return [(i * step if step else i / div * delta) + args.q_min for i in range(div)] + [args.q_max]
 
 
 def _row_seeds(seed: int, count: int) -> list[int]:

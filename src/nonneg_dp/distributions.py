@@ -22,17 +22,41 @@ branch-free; the public one never writes into its input, and the batched
 sampler runs the same steps in place over its output blocks.
 
 ``_integrate`` is the package's one quadrature; it imports scipy when it runs.
+
+``np`` is numpy, loaded on its first attribute access, so a process that
+only evaluates closed forms never executes it; the package's other modules
+take ``np`` from here.  On Python 3.10 and 3.11 that first load is not
+thread-safe: a program whose first use of the package may come from several
+threads at once should ``import numpy`` itself first.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy as loaded so far, else a module that executes it on first use;
+    ModuleNotFoundError when it is not installed."""
+    loaded = sys.modules.get("numpy")
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("numpy")   # None also when imports of numpy are blocked
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 __all__ = [
     "LaplaceDist",
@@ -180,17 +204,18 @@ def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
                points: list[float]) -> float:
     """The package's one quadrature: adaptive quad of ``integrand`` over [lo, hi],
     split at the ``points`` inside it (epsabs 1e-12, epsrel 1e-10, 400
-    subintervals).  ValueError("integrand not integrable") when the value is
-    not finite, when quad calls the integral probably divergent, or when it
-    reports other trouble with an error estimate above max(1e-10, 1e-8|value|).
+    subintervals or twice as many as points, if more).
+    ValueError("integrand not integrable") when the value is not finite, when
+    quad calls the integral probably divergent, or when it reports other
+    trouble with an error estimate above max(1e-10, 1e-8|value|).
     An exception of the integrand, such as OverflowError, propagates."""
     from scipy import integrate
 
-    breakpoints = [x for x in points if lo < x < hi] or None
+    breakpoints = [x for x in points if lo < x < hi]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value, abserr = integrate.quad(integrand, lo, hi, points=breakpoints,
-                                       epsabs=1e-12, epsrel=1e-10, limit=400)
+        value, abserr = integrate.quad(integrand, lo, hi, points=breakpoints or None, epsabs=1e-12,
+                                       epsrel=1e-10, limit=max(400, 2 * len(breakpoints)))
     trouble = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
     # QUADPACK's ier = 5, whose error estimate means nothing.
     divergent = any(message.startswith("The integral is probably divergent") for message in trouble)

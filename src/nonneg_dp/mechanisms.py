@@ -26,9 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Iterable
 
 from .distributions import (
     LaplaceDist,
@@ -38,6 +36,7 @@ from .distributions import (
     laplace_cdf,
     laplace_pdf,
     laplace_quantile,
+    np,
     sample_laplace,
 )
 
@@ -91,11 +90,13 @@ _VPLUS_RTOL = 1e-8
 _VPLUS_GRID_POINTS = 10_000
 
 
-def _check_v_plus_membership(func: Callable[[float], float], scale: float) -> None:
+def _check_v_plus_membership(func: Callable[[float], float], scale: float,
+                             kinks: tuple[float, ...]) -> None:
     """Reject functions outside the cone of nonnegative, square-integrable
     post-processors under the exp(-|x|/b) weight.  E[f(bT)^2] for a standard
-    Laplace T, integrated in t = x/b over [-T, T] for T = 20, 40, ..., must
-    settle; an overflow or a failed integral means it does not."""
+    Laplace T, integrated in t = x/b over [-T, T] for T = 20, 40, ..., split
+    at 0 and at the kinks, must settle; an overflow or a failed integral means
+    it does not."""
     grid = np.linspace(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS)
     values = np.array([func(x) for x in grid], dtype=float)
     if np.any(values < 0) or not np.all(np.isfinite(values)):
@@ -104,12 +105,13 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float) -> No
     def weighted_square(t: float) -> float:
         return func(scale * t) ** 2 * math.exp(-abs(t)) / 2.0
 
+    points = [0.0] + [kink / scale for kink in kinks]
     radius = 20.0
     try:
-        previous = _integrate(weighted_square, -radius, radius, [0.0])
+        previous = _integrate(weighted_square, -radius, radius, points)
         for _ in range(8):
             radius *= 2.0
-            current = _integrate(weighted_square, -radius, radius, [0.0])
+            current = _integrate(weighted_square, -radius, radius, points)
             if abs(current - previous) <= max(_VPLUS_RTOL * abs(current), 1e-12):
                 return
             previous = current
@@ -129,11 +131,16 @@ class PostProcessor:
     for noise of that ``scale``.  A spec sampling at another scale is not
     vetted again: exp(x/3) passes at scale 1, but at scale 2 its variance is
     infinite.
+
+    ``kinks`` are the points where the function is not smooth, sorted: alpha
+    for the translated ramp, those declared for a custom one.  Every integral
+    of the function is split at them.
     """
 
     kind: str
     alpha: float = 0.0
     func: Callable[[float], float] | None = None
+    kinks: tuple[float, ...] = ()
 
     @classmethod
     def ramp(cls) -> "PostProcessor":
@@ -145,14 +152,21 @@ class PostProcessor:
         """max(x - alpha, 0) for a translation alpha >= 0."""
         if not (math.isfinite(alpha) and alpha >= 0):
             raise ValueError(f"translation must be nonnegative, got {alpha}")
-        return cls(kind="translated-ramp", alpha=float(alpha))
+        return cls(kind="translated-ramp", alpha=float(alpha), kinks=(float(alpha),))
 
     @classmethod
-    def custom(cls, func: Callable[[float], float], scale: float) -> "PostProcessor":
+    def custom(cls, func: Callable[[float], float], scale: float,
+               kinks: Iterable[float] = ()) -> "PostProcessor":
+        """``func`` vetted at noise scale ``scale``.  A piecewise-smooth one
+        declares its ``kinks`` (finite), such as the knots of an interpolant:
+        quadrature that cannot see them may fail to converge."""
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be positive, got {scale}")
-        _check_v_plus_membership(func, scale)
-        return cls(kind="custom", func=func)
+        kinks = tuple(sorted(float(kink) for kink in kinks))
+        if not all(math.isfinite(kink) for kink in kinks):
+            raise ValueError(f"kinks must be finite, got {kinks}")
+        _check_v_plus_membership(func, scale, kinks)
+        return cls(kind="custom", func=func, kinks=kinks)
 
 
 def apply_postprocessor(pp: PostProcessor, x):

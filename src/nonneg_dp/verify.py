@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .distributions import LaplaceDist, RngState, _integrate, laplace_quantile, log_laplace_mgf
+from .distributions import LaplaceDist, RngState, _integrate, laplace_quantile, log_laplace_mgf, np
 from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
 __all__ = [

@@ -31,6 +31,7 @@ from nonneg_dp.mechanisms import (
 )
 
 from numeric_sup import max_abs_bias_numeric
+from piecewise_linear import hinge_sum_bias, wavy_ramp
 
 
 def ramp_expectation_quad(q, b, alpha=0.0):
@@ -388,6 +389,15 @@ class TestQuadratureEngine:
             pp = PostProcessor(kind="custom", func=func)
             with pytest.raises(ValueError, match="not integrable"):
                 expectation_postprocessed_quadrature(pp, q, 1.0)
+
+    def test_many_kinked_post_processor_matches_hinge_sum(self):
+        # f = sum_i w_i max(x - x_i, 0) at 161 knots, whose bias has a closed
+        # form; split at t = 0 only, quad fails at most q.
+        f, knots, weights, floor = wavy_ramp(161)
+        spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), PostProcessor.custom(f, 1.0, knots))
+        for q in np.linspace(0.0, 20.0, 41).tolist():
+            exact = hinge_sum_bias(knots, weights, floor, q, 1.0)
+            assert abs(quadrature_bias(spec, q) - exact) <= 1e-12 * (q + 1.0)
 
 
 class TestNumericSup:

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nonneg_dp.bias import bias_ratio_restricted_vs_bit
-from nonneg_dp.cli import main
+from nonneg_dp.cli import _q_grid, main
 
 
 def run(*argv):
@@ -132,6 +133,28 @@ class TestCompare:
             assert ratio > 2.0
             assert ratio == pytest.approx(bias_ratio_restricted_vs_bit(q, 1.0, 1.0),
                                           rel=1e-10)
+
+
+class TestLinearGrid:
+    """The q grid, built without numpy, is np.linspace's grid bit for bit."""
+
+    @staticmethod
+    def _cases():
+        cases = [(0.0, 0.0, 2), (3.5, 3.5, 21), (0.0, 1.0, 2), (5e-324, 5e-324, 3), (5e-324, 1e-323, 200),
+                 (0.0, 5e-324, 5000), (5e-324, 1e308, 200), (0.0, 1.7976931348623157e308, 5000),
+                 (1e-300, 1e-300 * (1 + 2**-52), 7), (0.0, 10.0, 21), (0.1, 0.7, 5000)]
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            q_min = float(10.0 ** rng.uniform(-323, 308)) if rng.random() < 0.9 else 0.0
+            q_max = min(q_min + float(10.0 ** rng.uniform(-323, 308)), sys.float_info.max)
+            cases.append((q_min, q_max, int(rng.choice([2, 3, 21, 200, 5000, rng.integers(2, 5001)]))))
+        return cases
+
+    def test_linear_grid_equals_linspace(self):
+        for q_min, q_max, points in self._cases():
+            args = SimpleNamespace(q_min=q_min, q_max=q_max, q_points=points, q_log=False)
+            grid = _q_grid(args)
+            assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(q_min, q_max, points).tolist()]
 
 
 class TestVerifyDp:
@@ -534,21 +557,28 @@ class TestErrorHandling:
 
 
 class TestColdImport:
-    """A fresh process loads scipy only for the subcommands that integrate."""
+    """A fresh process loads scipy only for the subcommands that integrate,
+    and executes numpy only for those that build arrays."""
 
+    # numpy.* submodules exist only once numpy has executed; the lazily
+    # loaded numpy entry itself does not count.
     SCRIPT = (
         "import json, sys\n"
         "import nonneg_dp, nonneg_dp.cli\n"
         "code = nonneg_dp.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "                  sorted(m for m in sys.modules if m.startswith('numpy.'))]))\n"
     )
+
+    # Subcommands whose every number is a scalar closed form.
+    NUMPY_FREE = ("optimal-alpha", "compare", "query-info")
 
     def _fresh(self, tmp_path, *argv):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         env.pop("NONNEG_DP_SEED", None)
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv, "--out", str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=120, check=True)
-        return json.loads(proc.stdout)   # [exit code, scipy modules loaded]
+        return json.loads(proc.stdout)   # [exit code, scipy modules, numpy submodules loaded]
 
     @pytest.mark.parametrize("argv", [
         ("optimal-alpha",),
@@ -560,13 +590,32 @@ class TestColdImport:
         records = tmp_path / "records.txt"
         records.write_text("0.25\n0.5\n")
         argv = [arg.replace("{records}", str(records)) for arg in argv]
-        assert self._fresh(tmp_path, *argv) == [0, []]
+        code, scipy_modules, numpy_modules = self._fresh(tmp_path, *argv)
+        assert [code, scipy_modules] == [0, []]
+        assert (numpy_modules == []) == (argv[0] in self.NUMPY_FREE)
+
+    def test_log_grid_loads_numpy_without_scipy(self, tmp_path):
+        code, scipy_modules, numpy_modules = self._fresh(tmp_path, "compare", "--q-log", "--q-min", "1")
+        assert [code, scipy_modules] == [0, []]
+        assert numpy_modules
 
     def test_quadrature_loads_scipy(self, tmp_path):
-        code, scipy_modules = self._fresh(tmp_path, "bias-curve", "--mechanism", "bit",
-                                          "--q-points", "2", "--samples", "100")
+        code, scipy_modules, _ = self._fresh(tmp_path, "bias-curve", "--mechanism", "bit",
+                                             "--q-points", "2", "--samples", "100")
         assert code == 0
         assert "scipy.integrate" in scipy_modules
+
+    def test_import_without_numpy_fails(self):
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None   # as if it were not installed\n"
+                  "try:\n"
+                  "    import nonneg_dp\n"
+                  "except ModuleNotFoundError as exc:\n"
+                  "    print(exc.name)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout == "numpy\n"
 
     def test_tracer_shim_returns_scipy_integrate_only(self):
         import scipy.integrate

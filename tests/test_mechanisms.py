@@ -35,6 +35,8 @@ from nonneg_dp.mechanisms import (
     sample_restricted_rejection,
 )
 
+from piecewise_linear import wavy_ramp
+
 
 class _FixedUniform:
     """Stub stream yielding a prescribed sequence of uniforms."""
@@ -82,6 +84,12 @@ class TestPostProcessor:
         # f^2 = |x|^-0.8 has an integrable singularity at 0
         pp = PostProcessor.custom(lambda x: abs(x) ** -0.4 if x else 0.0, scale=1.0)
         assert apply_postprocessor(pp, -1.0) == 1.0
+        # Split only at 0, quad reports roundoff trouble for 161 kinks; split
+        # at each declared kink, the integrals settle, also past 400 kinks.
+        for knot_count in (161, 401):
+            f, knots, _, _ = wavy_ramp(knot_count)
+            pp = PostProcessor.custom(f, scale=1.0, kinks=reversed(knots))
+            assert pp.kinks == tuple(knots)
 
     @pytest.mark.parametrize("scale", np.logspace(-3, 3, 25).tolist())
     def test_custom_softplus_accepted_at_every_scale(self, scale):
@@ -105,6 +113,11 @@ class TestPostProcessor:
                      lambda x: abs(x) ** -0.75 if x else 0.0):
             with pytest.raises(ValueError, match="square-integrable"):
                 PostProcessor.custom(func, scale=1.0)
+
+    @pytest.mark.parametrize("kink", [math.inf, -math.inf, math.nan])
+    def test_custom_rejects_non_finite_kink(self, kink):
+        with pytest.raises(ValueError, match="kinks must be finite"):
+            PostProcessor.custom(lambda x: max(x, 0.0), scale=1.0, kinks=(0.0, kink))
 
     def test_negative_output_caught_at_apply_time(self):
         # dips below zero only beyond the construction spot-check grid
