@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .distributions import LaplaceDist, _integrate, laplace_pdf
+from .distributions import LaplaceDist, _integrate, _require_nonnegative, _require_positive, laplace_pdf
 from .mechanisms import MechanismSpec, PostProcessor, Variant, _mass_below_zero, apply_postprocessor
 
 __all__ = [
@@ -49,16 +49,6 @@ _TAIL_RADII = 40.0
 _LAMBERT_W_HALF = 0.35173371124919584
 
 
-def _require_positive_scale(b: float) -> None:
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"scale must be positive and finite, got {b}")
-
-
-def _require_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
 def bias_bit(q: float, b: float) -> float:
     """Bias of the ramp-clamped (boundary inflated) mechanism: (b/2)exp(-q/b)."""
     return bias_translated_ramp(q, 0.0, b)
@@ -76,7 +66,7 @@ def bias_translated_ramp(q: float, alpha: float, b: float) -> float:
     (b/2)exp((q - alpha)/b) - q below, so no E[output] ~ q is formed and
     then cancelled against q.
     """
-    _require_positive_scale(b)
+    _require_positive("scale", b)
     _require_nonnegative("q", q)
     _require_nonnegative("alpha", alpha)
     if q >= alpha:
@@ -95,7 +85,7 @@ def optimal_alpha(b: float) -> float:
     The two competing bias terms meet where (b/2)exp(-alpha/b) = alpha; with
     w = alpha/b that is w*exp(w) = 1/2, so alpha* = b*W(1/2) for Lambert's W.
     """
-    _require_positive_scale(b)
+    _require_positive("scale", b)
     return b * _LAMBERT_W_HALF
 
 
@@ -104,7 +94,7 @@ def bias_restricted(q: float, b: float) -> float:
 
     Evaluated as (q + b)exp(-q/b)/(2 - exp(-q/b)) so large q/b cannot overflow.
     """
-    _require_positive_scale(b)
+    _require_positive("scale", b)
     _require_nonnegative("q", q)
     decay = math.exp(-q / b)
     return (q + b) * decay / (2.0 - decay)
@@ -119,9 +109,8 @@ def bias_ratio_restricted_vs_bit(q: float, epsilon: float, delta_sens: float) ->
     Past the double range (s >~ 1419) it is returned as inf.
     """
     _require_nonnegative("q", q)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    _require_positive_scale(delta_sens)
+    _require_positive("epsilon", epsilon)
+    _require_positive("sensitivity", delta_sens)
     s = epsilon * q / delta_sens
     try:
         growth = math.exp(s / 2.0)
@@ -147,7 +136,7 @@ def _postprocessed_mean(pp: PostProcessor, q: float, b: float, offset: float) ->
 
 def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
     """E[pp(q + noise)] by adaptive quadrature against the Laplace density."""
-    _require_positive_scale(b)
+    _require_positive("scale", b)
     _require_nonnegative("q", q)
     return _postprocessed_mean(pp, q, b, 0.0)
 
@@ -185,7 +174,7 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     multiplicative), so quad's absolute tolerance stays relative at tiny b.
     """
     b = spec.scale
-    _require_positive_scale(b)
+    _require_positive("scale", b)
     _require_nonnegative("q", q)
     if spec.variant is Variant.MULTIPLICATIVE:
         if b >= 1.0:

@@ -7,7 +7,8 @@ through the same parse, and flags on the command line win.  Every
 mechanism fact (scale, privacy level, warning, bias, density) comes from the
 library.  Exit codes: 0 success, 1 verification failure, 2 usage or
 configuration error, including a domain error raised by the library and
-a sample count too large to allocate.
+a sample count too large to allocate.  After the report or the ``error:``
+line, stderr gets one ``warning:`` line per distinct warning of the run.
 """
 
 from __future__ import annotations
@@ -386,23 +387,27 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
-    try:
-        if argv and argv[0] in commands:
-            # File values go before the command-line flags, which win.
-            path = _CONFIG.parse_known_args(argv[1:])[0].config
-            if path is not None:
-                argv[1:1] = _config_flags(path, commands[argv[0]])
-        args = parser.parse_args(argv)
-        if args.seed is None:
-            # Read per call, so the cached parser holds no environment value.
-            try:
-                args.seed = _SEED(os.environ.get("NONNEG_DP_SEED", "0"))
-            except argparse.ArgumentTypeError as exc:
-                raise UsageError(f"argument --seed: {exc}") from None
-        return args.handler(args)
-    except (UsageError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if argv and argv[0] in commands:
+                # File values go before the command-line flags, which win.
+                path = _CONFIG.parse_known_args(argv[1:])[0].config
+                if path is not None:
+                    argv[1:1] = _config_flags(path, commands[argv[0]])
+            args = parser.parse_args(argv)
+            if args.seed is None:
+                # Read per call, so the cached parser holds no environment value.
+                try:
+                    args.seed = _SEED(os.environ.get("NONNEG_DP_SEED", "0"))
+                except argparse.ArgumentTypeError as exc:
+                    raise UsageError(f"argument --seed: {exc}") from None
+            code = args.handler(args)
+        except (UsageError, OSError, ValueError, MemoryError) as exc:
+            print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
+            code = 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

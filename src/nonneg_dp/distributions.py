@@ -22,6 +22,7 @@ branch-free; the public one never writes into its input, and the batched
 sampler runs the same steps in place over its output blocks.
 
 ``_integrate`` is the package's one quadrature; it imports scipy when it runs.
+``_require_positive`` and ``_require_nonnegative`` are the package's range checks.
 
 ``np`` is numpy, loaded on its first attribute access, so a process that
 only evaluates closed forms never executes it; the package's other modules
@@ -35,7 +36,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,6 +73,16 @@ __all__ = [
 _TINY = sys.float_info.min
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class LaplaceDist:
     """Laplace law with mean ``location`` (the true query value) and scale ``scale``."""
@@ -83,8 +93,7 @@ class LaplaceDist:
     def __post_init__(self):
         if not math.isfinite(self.location):
             raise ValueError("location must be finite")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _require_positive("scale", self.scale)
 
 
 @dataclass
@@ -193,8 +202,7 @@ def log_laplace_mgf(b: float, k: float) -> float:
     an in-band sentinel: the finite/infinite dichotomy is the result callers
     branch on, not an error condition.
     """
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"scale must be positive and finite, got {b}")
+    _require_positive("scale", b)
     if abs(k) * b >= 1.0:
         return math.inf
     return 1.0 / (1.0 - (k * b) ** 2)
@@ -204,21 +212,22 @@ def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
                points: list[float]) -> float:
     """The package's one quadrature: adaptive quad of ``integrand`` over [lo, hi],
     split at the ``points`` inside it (epsabs 1e-12, epsrel 1e-10, 400
-    subintervals or twice as many as points, if more).
+    subintervals or twice as many as points, if more).  QUADPACK's status is
+    read from quad's return value, whose fourth element is its message when
+    anything went wrong; no warning filter is touched, so a warning of the
+    integrand reaches the caller.
     ValueError("integrand not integrable") when the value is not finite, when
-    quad calls the integral probably divergent, or when it reports other
-    trouble with an error estimate above max(1e-10, 1e-8|value|).
+    the message calls the integral probably divergent, or when there is a
+    message and the error estimate is above max(1e-10, 1e-8|value|).
     An exception of the integrand, such as OverflowError, propagates."""
     from scipy import integrate
 
     breakpoints = [x for x in points if lo < x < hi]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, abserr = integrate.quad(integrand, lo, hi, points=breakpoints or None, epsabs=1e-12,
-                                       epsrel=1e-10, limit=max(400, 2 * len(breakpoints)))
-    trouble = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
+    value, abserr, _, *trouble = integrate.quad(
+        integrand, lo, hi, points=breakpoints or None, epsabs=1e-12, epsrel=1e-10,
+        limit=max(400, 2 * len(breakpoints)), full_output=1)
     # QUADPACK's ier = 5, whose error estimate means nothing.
-    divergent = any(message.startswith("The integral is probably divergent") for message in trouble)
+    divergent = bool(trouble) and trouble[0].startswith("The integral is probably divergent")
     tolerance = max(1e-10, 1e-8 * abs(value))
     if not math.isfinite(value) or divergent or (trouble and abserr > tolerance):
         raise ValueError("integrand not integrable")

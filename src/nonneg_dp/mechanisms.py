@@ -33,6 +33,8 @@ from .distributions import (
     RngState,
     _integrate,
     _quantile_in_place,
+    _require_nonnegative,
+    _require_positive,
     laplace_cdf,
     laplace_pdf,
     laplace_quantile,
@@ -51,7 +53,6 @@ __all__ = [
     "make_multiplicative_mechanism",
     "apply_postprocessor",
     "sample_mechanism",
-    "restricted_cdf",
     "restricted_pdf",
     "restricted_quantile",
     "sample_restricted_rejection",
@@ -73,10 +74,8 @@ class PrivacyParams:
     sensitivity: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0):
-            raise ValueError(f"sensitivity must be nonnegative and finite, got {self.sensitivity}")
+        _require_positive("epsilon", self.epsilon)
+        _require_nonnegative("sensitivity", self.sensitivity)
 
     @property
     def scale(self) -> float:
@@ -150,8 +149,7 @@ class PostProcessor:
     @classmethod
     def translated_ramp(cls, alpha: float) -> "PostProcessor":
         """max(x - alpha, 0) for a translation alpha >= 0."""
-        if not (math.isfinite(alpha) and alpha >= 0):
-            raise ValueError(f"translation must be nonnegative, got {alpha}")
+        _require_nonnegative("translation", alpha)
         return cls(kind="translated-ramp", alpha=float(alpha), kinks=(float(alpha),))
 
     @classmethod
@@ -160,8 +158,7 @@ class PostProcessor:
         """``func`` vetted at noise scale ``scale``.  A piecewise-smooth one
         declares its ``kinks`` (finite), such as the knots of an interpolant:
         quadrature that cannot see them may fail to converge."""
-        if not (math.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be positive, got {scale}")
+        _require_positive("scale", scale)
         kinks = tuple(sorted(float(kink) for kink in kinks))
         if not all(math.isfinite(kink) for kink in kinks):
             raise ValueError(f"kinks must be finite, got {kinks}")
@@ -214,8 +211,7 @@ class MechanismSpec:
     postprocessor: PostProcessor | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale >= 0):
-            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        _require_nonnegative("scale", self.scale)
         if (self.postprocessor is None) == (self.variant is Variant.POST_PROCESSED):
             raise ValueError("a spec has a post-processor exactly when it is post-processed")
         if self.warning is not None:
@@ -259,8 +255,7 @@ def make_multiplicative_mechanism(epsilon: float, k_bound: float) -> MechanismSp
 
     Construction succeeds even when the bound is too large for finite moments;
     the spec then warns, so divergence experiments can still run."""
-    if not (math.isfinite(k_bound) and k_bound > 0):
-        raise ValueError(f"relative bound must be positive and finite, got {k_bound}")
+    _require_positive("relative bound", k_bound)
     privacy = PrivacyParams(epsilon, k_bound)
     return MechanismSpec(Variant.MULTIPLICATIVE, privacy, privacy.scale)
 
@@ -303,18 +298,6 @@ def _mass_below_zero(base: LaplaceDist) -> float:
     if base.location < 0:
         raise ValueError(f"restricted law needs a location >= 0, got {base.location}")
     return laplace_cdf(base, 0.0)
-
-
-def restricted_cdf(base: LaplaceDist, t):
-    """cdf of the base law renormalized to [0, inf):
-    (F(t) - F(0)) / (1 - F(0)) for t >= 0, zero below."""
-    mass_below_zero = _mass_below_zero(base)
-    arr = np.asarray(t, dtype=float)
-    out = np.where(
-        arr < 0, 0.0,
-        (laplace_cdf(base, np.maximum(arr, 0.0)) - mass_below_zero) / (1.0 - mass_below_zero),
-    )
-    return float(out) if arr.ndim == 0 else out
 
 
 def restricted_pdf(base: LaplaceDist, x):
@@ -383,8 +366,7 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
     bit for bit, and leaves the stream where they do.  Without noise (scale
     0) no uniform is drawn.
     """
-    if not (math.isfinite(q) and q >= 0):
-        raise ValueError(f"query value must be nonnegative and finite, got {q}")
+    _require_nonnegative("query value", q)
     multiplicative = spec.variant is Variant.MULTIPLICATIVE
     if multiplicative and q == 0.0:
         raise ValueError("query must be strictly positive for the multiplicative mechanism")

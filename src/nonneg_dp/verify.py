@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .distributions import LaplaceDist, RngState, _integrate, laplace_quantile, log_laplace_mgf, np
+from .distributions import (LaplaceDist, RngState, _integrate, _require_nonnegative, _require_positive,
+                            laplace_quantile, log_laplace_mgf, np)
 from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
 __all__ = [
@@ -96,8 +97,7 @@ def certify_dp_densities(density_a: Callable, density_b: Callable, eps: float,
     A pointwise density-ratio bound implies the measure-level privacy
     inequality, so passing is sufficient (not necessary) evidence.
     """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"claimed level must be finite and >= 0, got {eps}")
+    _require_nonnegative("claimed level", eps)
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
         raise ValueError("grid must be non-empty")
@@ -181,8 +181,7 @@ def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> Divergence
     moment overflows is a ValueError naming it.  At b = 1 the growth is only
     linear in T (see :class:`DivergenceReport`), so radii (10, ..., 160) flag it.
     """
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"scale must be positive and finite, got {b}")
+    _require_positive("scale", b)
     radii = tuple(float(r) for r in radii)
     if not all(math.isfinite(r) and r > 0 for r in radii):
         raise ValueError(f"radii must be finite and > 0, got {radii}")

@@ -28,7 +28,6 @@ from nonneg_dp.mechanisms import (
     PrivacyParams,
     make_multiplicative_mechanism,
     make_restricted_mechanism,
-    restricted_cdf,
     restricted_pdf,
 )
 from nonneg_dp.queries import QueryDescriptor, QueryKind, relative_bound_K
@@ -40,6 +39,7 @@ from nonneg_dp.verify import (
 )
 
 from numeric_sup import max_abs_bias_numeric
+from restricted_law import restricted_cdf
 
 
 def report(number: int, passed: bool, detail: str) -> None:

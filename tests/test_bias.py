@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from nonneg_dp.bias import (
     optimal_alpha,
     quadrature_bias,
 )
-from nonneg_dp.distributions import LaplaceDist
+from nonneg_dp.distributions import LaplaceDist, RngState, log_laplace_mgf
 from nonneg_dp.mechanisms import (
     MechanismSpec,
     PostProcessor,
@@ -28,7 +29,9 @@ from nonneg_dp.mechanisms import (
     make_postprocessed_mechanism,
     make_restricted_mechanism,
     restricted_pdf,
+    sample_mechanism,
 )
+from nonneg_dp.verify import certify_dp_densities, check_divergence_log_laplace
 
 from numeric_sup import max_abs_bias_numeric
 from piecewise_linear import hinge_sum_bias, wavy_ramp
@@ -390,6 +393,21 @@ class TestQuadratureEngine:
             with pytest.raises(ValueError, match="not integrable"):
                 expectation_postprocessed_quadrature(pp, q, 1.0)
 
+    def test_integrand_warning_reaches_the_caller(self):
+        def loud_ramp(x):
+            if x > 30.0:
+                warnings.warn("loud ramp beyond 30")
+            return max(x, 0.0)
+
+        with pytest.warns(UserWarning, match="loud ramp"):
+            pp = PostProcessor.custom(loud_ramp, 1.0, kinks=(0.0,))
+        spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), pp)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = quadrature_bias(spec, 1.0)
+        assert caught and all(str(w.message) == "loud ramp beyond 30" for w in caught)
+        assert abs(value - 0.5 * math.exp(-1.0)) <= 1e-12
+
     def test_many_kinked_post_processor_matches_hinge_sum(self):
         # f = sum_i w_i max(x - x_i, 0) at 161 knots, whose bias has a closed
         # form; split at t = 0 only, quad fails at most q.
@@ -457,7 +475,8 @@ _BAD_Q = [-1.0, -1e-300, math.nan, math.inf]
 
 class TestDispatcherInputChecks:
     """closed_form_bias and quadrature_bias check q (and the scale) once,
-    before they branch on the variant."""
+    before they branch on the variant, and every public entry names the
+    argument it finds out of range."""
 
     @pytest.mark.parametrize("q", _BAD_Q)
     @pytest.mark.parametrize("spec", [
@@ -478,6 +497,36 @@ class TestDispatcherInputChecks:
         spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, 0.3), 0.0)
         with pytest.raises(ValueError, match="scale must be"):
             quadrature_bias(spec, 1.0)
+
+    # (argument name, call with the value, whether 0 is rejected too)
+    ENTRIES = [
+        ("scale", lambda v: LaplaceDist(0.0, v), True),
+        ("scale", lambda v: log_laplace_mgf(v, 1.0), True),
+        ("epsilon", lambda v: PrivacyParams(v, 1.0), True),
+        ("sensitivity", lambda v: PrivacyParams(1.0, v), False),
+        ("translation", PostProcessor.translated_ramp, False),
+        ("scale", lambda v: PostProcessor.custom(lambda x: 1.0, v), True),
+        ("scale", lambda v: MechanismSpec(Variant.PLAIN, PrivacyParams(1.0, 1.0), v), False),
+        ("relative bound", lambda v: make_multiplicative_mechanism(1.0, v), True),
+        ("query value", lambda v: sample_mechanism(
+            make_laplace_mechanism(PrivacyParams(1.0, 1.0)), v, RngState(0)), False),
+        ("epsilon", lambda v: bias_ratio_restricted_vs_bit(1.0, v, 1.0), True),
+        ("sensitivity", lambda v: bias_ratio_restricted_vs_bit(1.0, 1.0, v), True),
+        ("claimed level", lambda v: certify_dp_densities(
+            lambda x: np.ones_like(x), lambda x: np.ones_like(x), v, [0.0, 1.0]), False),
+        ("scale", lambda v: check_divergence_log_laplace(v, (10.0, 20.0)), True),
+    ]
+
+    @pytest.mark.parametrize("name,call,positive", ENTRIES, ids=[
+        "LaplaceDist", "log_laplace_mgf", "PrivacyParams-epsilon", "PrivacyParams-sensitivity",
+        "translated_ramp", "custom", "MechanismSpec", "make_multiplicative_mechanism",
+        "sample_mechanism", "ratio-epsilon", "ratio-sensitivity", "certify_dp_densities",
+        "check_divergence_log_laplace"])
+    def test_public_entries_name_the_argument_out_of_range(self, name, call, positive):
+        bound = "> 0" if positive else ">= 0"
+        for value in [math.nan, math.inf, -math.inf, -1.0] + ([0.0] if positive else []):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and {bound}, got"):
+                call(value)
 
     @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.MULTIPLICATIVE])
     def test_closed_form_is_zero_at_zero_scale(self, variant):

@@ -221,21 +221,21 @@ class TestMcValidate:
         assert all("infinite" in row[5] for row in rows)
 
 
-def run_recording_warnings(*argv):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(*argv)
-    return code, [str(w.message) for w in caught]
+def run_reading_warnings(capsys, *argv):
+    """Exit code and the messages of the ``warning:`` lines the run printed."""
+    code = run(*argv)
+    lines = capsys.readouterr().err.splitlines()
+    return code, [line.removeprefix("warning: ") for line in lines if line.startswith("warning: ")]
 
 
 class TestScaleOverride:
     """--scale sets the privacy level and the warnings, not just the noise."""
 
-    def test_verify_dp_claims_the_level_of_the_scale_in_use(self, tmp_path):
+    def test_verify_dp_claims_the_level_of_the_scale_in_use(self, tmp_path, capsys):
         # b = 0.5 with sensitivity 1 is a level-2 mechanism, not level 1.
         out = tmp_path / "cert.json"
-        code, caught = run_recording_warnings(
-            "verify-dp", "--mechanism", "laplace", "--epsilon", "1", "--sensitivity", "1",
+        code, caught = run_reading_warnings(
+            capsys, "verify-dp", "--mechanism", "laplace", "--epsilon", "1", "--sensitivity", "1",
             "--scale", "0.5", "--out", str(out))
         assert code == 0 and caught == []
         cert = json.loads(out.read_text())
@@ -248,10 +248,10 @@ class TestScaleOverride:
          0.098901098901098911, None),
         (["--mechanism", "laplace", "--sensitivity", "0", "--scale", "0.5"], 0.0, None),
     ], ids=["multiplicative-infinite-mean", "multiplicative-finite-mean", "zero-sensitivity"])
-    def test_mc_validate_warns_about_the_scale_in_use(self, argv, closed, warning, tmp_path):
+    def test_mc_validate_warns_about_the_scale_in_use(self, argv, closed, warning, tmp_path, capsys):
         out = tmp_path / "mc.csv"
-        code, caught = run_recording_warnings(
-            "mc-validate", *argv, "--epsilon", "1", "--q-min", "1", "--q-max", "1",
+        code, caught = run_reading_warnings(
+            capsys, "mc-validate", *argv, "--epsilon", "1", "--q-min", "1", "--q-max", "1",
             "--q-points", "1", "--samples", "1000", "--out", str(out))
         assert code == 0
         _, [row], _ = read_csv_report(str(out))
@@ -260,7 +260,7 @@ class TestScaleOverride:
             assert row[5] == "" and caught == []
         else:
             assert warning in row[5]
-            assert caught and all(warning in message for message in caught)
+            assert len(caught) == 1 and warning in caught[0]
 
 
     def test_zero_sensitivity_laplace_has_zero_closed_form(self, tmp_path):
@@ -554,6 +554,27 @@ class TestErrorHandling:
     def test_unknown_mechanism_exits_via_argparse(self, capsys):
         assert run("bias-curve", "--mechanism", "bogus") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,code,stderr", [
+        (["bias-curve", "--mechanism", "bit", "--sensitivity", "0", "--q-points", "1"], 2,
+         ["error: scale must be finite and > 0, got 0.0",
+          "warning: degenerate mechanism: zero sensitivity adds no noise"]),
+        (["verify-dp", "--mechanism", "laplace", "--sensitivity", "0"], 2,
+         ["error: scale must be finite and > 0, got 0.0",
+          "warning: degenerate mechanism: zero sensitivity adds no noise"]),
+        (["verify-dp", "--mechanism", "multiplicative", "--kbound", "0.5"], 0,
+         ["warning: scale >= 1/2: mechanism variance is infinite"]),
+    ], ids=["bias-curve", "verify-dp-error", "verify-dp-report"])
+    def test_fresh_process_prints_warnings_as_lines(self, argv, code, stderr, tmp_path):
+        # Python's own format would print the warning's file, category and source line.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run([sys.executable, "-m", "nonneg_dp.cli", *argv, "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert all(line.startswith(("error: ", "warning: ")) for line in proc.stderr.splitlines())
+        assert "UserWarning" not in proc.stderr and "warnings.warn" not in proc.stderr
+        assert proc.stderr.splitlines() == stderr
 
 
 class TestColdImport:

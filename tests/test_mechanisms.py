@@ -27,7 +27,6 @@ from nonneg_dp.mechanisms import (
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
-    restricted_cdf,
     restricted_pdf,
     restricted_quantile,
     sample_mechanism,
@@ -36,6 +35,7 @@ from nonneg_dp.mechanisms import (
 )
 
 from piecewise_linear import wavy_ramp
+from restricted_law import restricted_cdf
 
 
 class _FixedUniform:

@@ -22,7 +22,6 @@ from nonneg_dp.mechanisms import (
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
-    restricted_cdf,
     restricted_pdf,
     restricted_quantile,
     sample_mechanism,
@@ -33,6 +32,8 @@ from nonneg_dp.verify import (
     coupling_bias_lower_bound,
     mc_bias,
 )
+
+from restricted_law import restricted_cdf
 
 
 class TestCertifyDpDensities:
