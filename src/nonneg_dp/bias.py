@@ -188,7 +188,7 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     if spec.variant is Variant.PLAIN:
         return b * _integrate(lambda t: t * math.exp(-abs(t)) / 2.0, lo, hi, [0.0])
     if spec.variant is Variant.RESTRICTED:
-        # restricted_pdf's f(x)/(1 - F(0)), zero below 0, with 1 - F(0) taken once.
+        # The restricted density f(x)/(1 - F(0)), zero below 0, with 1 - F(0) taken once.
         base = LaplaceDist(q, b)
         normalizer = 1.0 - _mass_below_zero(base)
 

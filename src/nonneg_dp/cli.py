@@ -23,7 +23,7 @@ import warnings
 from dataclasses import replace
 
 from . import bias as bias_mod
-from .distributions import np
+from .distributions import _even_grid, np
 from .mechanisms import (
     MechanismSpec,
     PostProcessor,
@@ -158,12 +158,7 @@ def _q_grid(args: argparse.Namespace) -> list[float]:
         return [args.q_min]
     if args.q_log:
         return np.geomspace(args.q_min, args.q_max, args.q_points).tolist()
-    # np.linspace's steps, bit for bit, without loading numpy: i*step + q_min,
-    # or i/div*delta + q_min where the step underflows to 0, and q_max last.
-    div = args.q_points - 1
-    delta = args.q_max - args.q_min
-    step = delta / div
-    return [(i * step if step else i / div * delta) + args.q_min for i in range(div)] + [args.q_max]
+    return _even_grid(args.q_min, args.q_max, args.q_points)
 
 
 def _row_seeds(seed: int, count: int) -> list[int]:
@@ -210,9 +205,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify_dp(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    density_a, density_b, grid = adjacent_densities(spec)
+    log_density_a, log_density_b, points = adjacent_densities(spec)
     claimed = args.claimed if args.claimed is not None else guaranteed_privacy_level(spec)
-    certificate = certify_dp_densities(density_a, density_b, claimed, grid)
+    certificate = certify_dp_densities(log_density_a, log_density_b, claimed, points)
     _emit_scalar(args, {
         "mechanism": args.mechanism,
         "epsilon_claimed": certificate.epsilon_claimed,

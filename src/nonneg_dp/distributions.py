@@ -13,15 +13,17 @@ Sampling draws exactly one uniform variate per Laplace draw.  That accounting
 is load-bearing: the quantile-coupling construction in :mod:`nonneg_dp.verify`
 relies on the sample being a deterministic function of a single uniform.
 
-Each per-point function takes a float (Python or numpy scalar) or an array.
-A float skips numpy's array machinery but applies the same ``np.log`` and
-``np.exp``, so a scalar result is a Python ``float`` equal bit for bit to the
-array result at the same point: a scalar draw equals the batched draw at the
-same uniform.  The batched quantile takes one log per draw and is
-branch-free; the public one never writes into its input, and the batched
-sampler runs the same steps in place over its output blocks.
+The pdf and cdf take one point and return a Python ``float``.  The quantile
+takes a float (Python or numpy scalar) or an array.  A float skips numpy's
+array machinery but applies the same ``np.log``, so a scalar result is a
+Python ``float`` equal bit for bit to the array result at the same point: a
+scalar draw equals the batched draw at the same uniform.  The batched
+quantile takes one log per draw and is branch-free; the public one never
+writes into its input, and the batched sampler runs the same steps in place
+over its output blocks.
 
 ``_integrate`` is the package's one quadrature; it imports scipy when it runs.
+``_even_grid`` is its one evenly spaced grid, built without numpy.
 ``_require_positive`` and ``_require_nonnegative`` are the package's range checks.
 
 ``np`` is numpy, loaded on its first attribute access, so a process that
@@ -126,36 +128,19 @@ class RngState:
         return np.maximum(u, _TINY, out=u)
 
 
-def _check_finite(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite input")
-    return arr
-
-
-def laplace_pdf(dist: LaplaceDist, x):
+def laplace_pdf(dist: LaplaceDist, x: float) -> float:
     """Density (1/2b) exp(-|x - q|/b); strictly positive for all finite x."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("non-finite input")
-        return float(np.exp(-abs(x - dist.location) / dist.scale)) / (2.0 * dist.scale)
-    arr = _check_finite(x)
-    out = np.exp(-np.abs(arr - dist.location) / dist.scale) / (2.0 * dist.scale)
-    return out if arr.ndim else float(out)
+    if not math.isfinite(x):
+        raise ValueError("non-finite input")
+    return float(np.exp(-abs(x - dist.location) / dist.scale)) / (2.0 * dist.scale)
 
 
-def laplace_cdf(dist: LaplaceDist, x):
+def laplace_cdf(dist: LaplaceDist, x: float) -> float:
     """Exact cdf: (1/2)e^{(x-q)/b} below the mean, 1 - (1/2)e^{-(x-q)/b} above."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("non-finite input")
-        z = (x - dist.location) / dist.scale
-        return 0.5 * float(np.exp(z)) if z < 0 else 1.0 - 0.5 * float(np.exp(-z))
-    arr = _check_finite(x)
-    z = (arr - dist.location) / dist.scale
-    out = np.where(z < 0, 0.5 * np.exp(np.minimum(z, 0.0)),
-                   1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
-    return out if arr.ndim else float(out)
+    if not math.isfinite(x):
+        raise ValueError("non-finite input")
+    z = (x - dist.location) / dist.scale
+    return 0.5 * float(np.exp(z)) if z < 0 else 1.0 - 0.5 * float(np.exp(-z))
 
 
 def laplace_quantile(dist: LaplaceDist, p):
@@ -206,6 +191,16 @@ def log_laplace_mgf(b: float, k: float) -> float:
     if abs(k) * b >= 1.0:
         return math.inf
     return 1.0 / (1.0 - (k * b) ** 2)
+
+
+def _even_grid(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` >= 2 evenly spaced values from lo to hi, numpy's linear grid
+    bit for bit without loading numpy: i*step + lo, or i/div*delta + lo where
+    the step underflows to 0, and hi last."""
+    div = points - 1
+    delta = hi - lo
+    step = delta / div
+    return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
 
 
 def _integrate(integrand: Callable[[float], float], lo: float, hi: float,

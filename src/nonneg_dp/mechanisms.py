@@ -25,18 +25,17 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
 
 from .distributions import (
     LaplaceDist,
     RngState,
+    _even_grid,
     _integrate,
     _quantile_in_place,
     _require_nonnegative,
     _require_positive,
     laplace_cdf,
-    laplace_pdf,
     laplace_quantile,
     np,
     sample_laplace,
@@ -53,7 +52,6 @@ __all__ = [
     "make_multiplicative_mechanism",
     "apply_postprocessor",
     "sample_mechanism",
-    "restricted_pdf",
     "restricted_quantile",
     "sample_restricted_rejection",
     "sample_restricted_inverse",
@@ -96,10 +94,10 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
     Laplace T, integrated in t = x/b over [-T, T] for T = 20, 40, ..., split
     at 0 and at the kinks, must settle; an overflow or a failed integral means
     it does not."""
-    grid = np.linspace(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS)
-    values = np.array([func(x) for x in grid], dtype=float)
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise ValueError("post-processor not nonnegative")
+    for x in _even_grid(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS):
+        value = float(func(x))
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError("post-processor not nonnegative")
 
     def weighted_square(t: float) -> float:
         return func(scale * t) ** 2 * math.exp(-abs(t)) / 2.0
@@ -272,23 +270,32 @@ def guaranteed_privacy_level(spec: MechanismSpec) -> float:
     return factor * privacy.epsilon * (privacy.scale / b) if b > 0.0 else math.inf
 
 
-def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, np.ndarray]:
-    """Output densities at two adjacent query values and a grid covering both,
-    the inputs of :func:`nonneg_dp.verify.certify_dp_densities`.
+def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, tuple[float, float]]:
+    """Log output densities at two adjacent query values, up to the constant
+    they share, and the points (0, Delta) where the log ratio peaks: the
+    inputs of :func:`nonneg_dp.verify.certify_dp_densities`.
 
-    Plain and restricted mechanisms are compared at q = 0 and q = sensitivity,
-    the multiplicative one in the log domain, where adjacent queries lie within
-    log-distance K = ``privacy.sensitivity``.  Post-processed ones: ValueError.
+    Plain and restricted mechanisms are compared at q = 0 and q = Delta =
+    sensitivity, the multiplicative one in the log domain, where adjacent
+    queries lie within log-distance K = ``privacy.sensitivity``.  Each log
+    density is -|x - q|/b, less log(2(1 - F(0))) = log(2 - e^(-q/b)) for
+    restriction (and -inf below 0), so their difference is linear between 0
+    and Delta and constant beyond: its supremum is its larger value at 0 or
+    Delta, Delta/b, or s + log(2 - e^(-s)) with s = Delta/b when restricted.
+    Post-processed ones: ValueError.
     """
     if spec.variant is Variant.POST_PROCESSED:
         raise ValueError("post-processed mechanisms have no closed-form density to certify")
     b, delta = spec.scale, spec.privacy.sensitivity
-    if spec.variant is Variant.RESTRICTED:
-        pdf, lower = restricted_pdf, 0.0
-    else:
-        pdf, lower = laplace_pdf, -10 * b
-    return (partial(pdf, LaplaceDist(0.0, b)), partial(pdf, LaplaceDist(delta, b)),
-            np.linspace(lower, delta + 10 * b, 2000))
+    _require_positive("scale", b)
+    restricted = spec.variant is Variant.RESTRICTED
+
+    def log_density(q: float) -> Callable[[float], float]:
+        # expm1 keeps the offset exact for small q/b, where 1 - F(0) is near 1/2.
+        offset = math.log1p(-math.expm1(-q / b)) if restricted else 0.0
+        return lambda x: -math.inf if restricted and x < 0 else -abs(x - q) / b - offset
+
+    return log_density(0.0), log_density(delta), (0.0, delta)
 
 
 def _mass_below_zero(base: LaplaceDist) -> float:
@@ -298,17 +305,6 @@ def _mass_below_zero(base: LaplaceDist) -> float:
     if base.location < 0:
         raise ValueError(f"restricted law needs a location >= 0, got {base.location}")
     return laplace_cdf(base, 0.0)
-
-
-def restricted_pdf(base: LaplaceDist, x):
-    """Density of the renormalized law: f(x)/(1 - F(0)) on [0, inf)."""
-    normalizer = 1.0 - _mass_below_zero(base)
-    if isinstance(x, float):
-        density = laplace_pdf(base, x) / normalizer
-        return 0.0 if x < 0 else density
-    arr = np.asarray(x, dtype=float)
-    out = np.where(arr < 0, 0.0, laplace_pdf(base, arr) / normalizer)
-    return float(out) if arr.ndim == 0 else out
 
 
 def sample_restricted_rejection(base: LaplaceDist, rng: RngState,

@@ -81,12 +81,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def replace(self, index: int, value: float) -> "Dataset":
-        """Adjacent dataset with record ``index`` replaced by ``value``."""
-        records = list(self.records)
-        records[index] = value
-        return Dataset(tuple(records), self.lower, self.upper, self.lower_open)
-
 
 def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:
     """Evaluate the statistic; nonnegative whenever the lower bound is >= 0.

@@ -22,13 +22,14 @@ from nonneg_dp.bias import (
     optimal_alpha,
 )
 from nonneg_dp.cli import main as cli_main
-from nonneg_dp.distributions import LaplaceDist, laplace_cdf, laplace_pdf, log_laplace_mgf
+from nonneg_dp.distributions import LaplaceDist, laplace_cdf, log_laplace_mgf
 from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
+    adjacent_densities,
+    make_laplace_mechanism,
     make_multiplicative_mechanism,
     make_restricted_mechanism,
-    restricted_pdf,
 )
 from nonneg_dp.queries import QueryDescriptor, QueryKind, relative_bound_K
 from nonneg_dp.verify import (
@@ -39,7 +40,7 @@ from nonneg_dp.verify import (
 )
 
 from numeric_sup import max_abs_bias_numeric
-from restricted_law import restricted_cdf
+from restricted_law import pointwise, restricted_cdf, restricted_pdf
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -141,17 +142,13 @@ def test_criterion_04_restriction_to_clamping_ratio():
 
 def test_criterion_05_privacy_certificates():
     start = time.perf_counter()
-    b = 1.0
-    plain_pair = (LaplaceDist(0.0, b), LaplaceDist(1.0, b))
-    grid = np.linspace(-10.0, 11.0, 2000)
-    plain_cert = certify_dp_densities(lambda x: laplace_pdf(plain_pair[0], x),
-                                      lambda x: laplace_pdf(plain_pair[1], x), 1.0, grid)
+    privacy = PrivacyParams(1.0, 1.0)   # b = 1, adjacent values 0 and 1
+    log_a, log_b, points = adjacent_densities(make_laplace_mechanism(privacy))
+    plain_cert = certify_dp_densities(log_a, log_b, 1.0, points)
     plain_gap = abs(plain_cert.max_log_ratio_observed - 1.0)
-    grid_nonneg = np.linspace(0.0, 11.0, 2000)
-    da = lambda x: restricted_pdf(plain_pair[0], x)
-    db = lambda x: restricted_pdf(plain_pair[1], x)
-    restricted_at_double = certify_dp_densities(da, db, 2.0, grid_nonneg)
-    restricted_at_single = certify_dp_densities(da, db, 1.0, grid_nonneg)
+    log_a, log_b, points = adjacent_densities(make_restricted_mechanism(privacy))
+    restricted_at_double = certify_dp_densities(log_a, log_b, 2.0, points)
+    restricted_at_single = certify_dp_densities(log_a, log_b, 1.0, points)
     elapsed = time.perf_counter() - start
     ok = (plain_cert.passed and plain_gap <= 1e-9 and restricted_at_double.passed
           and not restricted_at_single.passed and elapsed < 5.0)
@@ -174,7 +171,7 @@ def test_criterion_06_dominance_and_coupling():
     for q, b in combos:
         base = LaplaceDist(q, b)
         grid = np.linspace(-10.0 * b, q + 10.0 * b, 1500)
-        dominance_ok &= bool(np.all(laplace_cdf(base, grid) - restricted_cdf(base, grid) > 0.0))
+        dominance_ok &= bool(np.all(pointwise(laplace_cdf, base, grid) - restricted_cdf(base, grid) > 0.0))
         estimate = coupling_bias_lower_bound(base, 10**5)
         coupling_positive &= estimate > 0
         coupling_gap = max(coupling_gap, abs(estimate - bias_restricted(q, b)))

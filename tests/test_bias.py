@@ -28,13 +28,13 @@ from nonneg_dp.mechanisms import (
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
-    restricted_pdf,
     sample_mechanism,
 )
 from nonneg_dp.verify import certify_dp_densities, check_divergence_log_laplace
 
 from numeric_sup import max_abs_bias_numeric
 from piecewise_linear import hinge_sum_bias, wavy_ramp
+from restricted_law import restricted_pdf
 
 
 def ramp_expectation_quad(q, b, alpha=0.0):
@@ -513,7 +513,7 @@ class TestDispatcherInputChecks:
         ("epsilon", lambda v: bias_ratio_restricted_vs_bit(1.0, v, 1.0), True),
         ("sensitivity", lambda v: bias_ratio_restricted_vs_bit(1.0, 1.0, v), True),
         ("claimed level", lambda v: certify_dp_densities(
-            lambda x: np.ones_like(x), lambda x: np.ones_like(x), v, [0.0, 1.0]), False),
+            lambda x: 0.0, lambda x: 0.0, v, [0.0, 1.0]), False),
         ("scale", lambda v: check_divergence_log_laplace(v, (10.0, 20.0)), True),
     ]
 

@@ -12,6 +12,7 @@ import pytest
 
 from nonneg_dp.bias import bias_ratio_restricted_vs_bit
 from nonneg_dp.cli import _q_grid, main
+from nonneg_dp.distributions import _even_grid
 
 
 def run(*argv):
@@ -156,6 +157,13 @@ class TestLinearGrid:
             grid = _q_grid(args)
             assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(q_min, q_max, points).tolist()]
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300])
+    def test_post_processor_vetting_grid_equals_linspace(self, scale):
+        # PostProcessor.custom spot-checks nonnegativity on this grid.
+        grid = _even_grid(-20.0 * scale, 20.0 * scale, 10_000)
+        want = np.linspace(-20.0 * scale, 20.0 * scale, 10_000).tolist()
+        assert [x.hex() for x in grid] == [x.hex() for x in want]
+
 
 class TestVerifyDp:
     def test_plain_passes_at_epsilon(self, tmp_path):
@@ -164,7 +172,25 @@ class TestVerifyDp:
                    "--sensitivity", "1", "--out", str(out)) == 0
         cert = json.loads(out.read_text())
         assert cert["passed"] is True
-        assert cert["max_log_ratio_observed"] == pytest.approx(1.0, abs=1e-9)
+        assert cert["max_log_ratio_observed"] == 1.0
+        assert cert["grid_description"] == "2 points in [0, 1]"
+
+    @pytest.mark.parametrize("argv,level,observed", [
+        (("--mechanism", "laplace", "--epsilon", "715", "--sensitivity", "1"), 715.0, 1 / (1 / 715)),
+        (("--mechanism", "restricted", "--epsilon", "300", "--sensitivity", "1e300"), 600.0,
+         300.69314718055995),
+        # sensitivity/(sensitivity/epsilon) rounds one ulp, 7.5e-9, above epsilon.
+        (("--mechanism", "laplace", "--epsilon", "66101462.07479755", "--sensitivity", "3.3533866948340587"),
+         66101462.07479755, 66101462.074797556),
+    ], ids=["laplace-715", "restricted-1e300", "laplace-6.6e7"])
+    def test_large_levels_and_sensitivities_are_certified(self, argv, level, observed, tmp_path):
+        # A 2000-point grid of densities read 715.00000000153079 and failed the
+        # first, and met zero densities on the second.
+        out = tmp_path / "cert.json"
+        assert run("verify-dp", *argv, "--out", str(out)) == 0
+        cert = json.loads(out.read_text())
+        assert (cert["epsilon_claimed"], cert["max_log_ratio_observed"], cert["passed"]) == (
+            level, observed, True)
 
     def test_restricted_passes_at_doubled_level(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -509,6 +535,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv", [
         ("bias-curve", "--mechanism", "bit", "--sensitivity", "0"),
         ("verify-dp", "--mechanism", "laplace", "--sensitivity", "0"),
+        ("verify-dp", "--mechanism", "restricted", "--sensitivity", "0"),
     ])
     def test_library_domain_error_is_usage_error(self, argv, capsys):
         assert run(*argv) == 2
@@ -592,7 +619,7 @@ class TestColdImport:
     )
 
     # Subcommands whose every number is a scalar closed form.
-    NUMPY_FREE = ("optimal-alpha", "compare", "query-info")
+    NUMPY_FREE = ("optimal-alpha", "compare", "verify-dp", "query-info")
 
     def _fresh(self, tmp_path, *argv):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -614,6 +641,11 @@ class TestColdImport:
         code, scipy_modules, numpy_modules = self._fresh(tmp_path, *argv)
         assert [code, scipy_modules] == [0, []]
         assert (numpy_modules == []) == (argv[0] in self.NUMPY_FREE)
+
+    @pytest.mark.parametrize("mechanism", [("restricted",), ("multiplicative", "--kbound", "0.3")],
+                             ids=["restricted", "multiplicative"])
+    def test_every_certificate_loads_neither_library(self, mechanism, tmp_path):
+        assert self._fresh(tmp_path, "verify-dp", "--mechanism", *mechanism) == [0, [], []]
 
     def test_log_grid_loads_numpy_without_scipy(self, tmp_path):
         code, scipy_modules, numpy_modules = self._fresh(tmp_path, "compare", "--q-log", "--q-min", "1")

@@ -15,6 +15,8 @@ from nonneg_dp.distributions import (
     sample_laplace,
 )
 
+from restricted_law import pointwise
+
 
 class TestLaplaceDist:
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
@@ -45,12 +47,12 @@ class TestPdf:
 
     def test_strictly_positive(self):
         xs = np.linspace(-50, 50, 101)
-        assert np.all(laplace_pdf(LaplaceDist(0.0, 1.0), xs) > 0)
+        assert np.all(pointwise(laplace_pdf, LaplaceDist(0.0, 1.0), xs) > 0)
 
     def test_translation_invariance(self):
         xs = np.linspace(-8, 12, 100)
-        shifted = laplace_pdf(LaplaceDist(2.5, 0.7), xs)
-        centered = laplace_pdf(LaplaceDist(0.0, 0.7), xs - 2.5)
+        shifted = pointwise(laplace_pdf, LaplaceDist(2.5, 0.7), xs)
+        centered = pointwise(laplace_pdf, LaplaceDist(0.0, 0.7), xs - 2.5)
         np.testing.assert_array_equal(shifted, centered)
 
     def test_rejects_nonfinite_input(self):
@@ -75,7 +77,7 @@ class TestCdf:
 
     def test_monotone_and_bounded(self):
         xs = np.linspace(-30, 30, 500)
-        values = laplace_cdf(LaplaceDist(1.0, 2.0), xs)
+        values = pointwise(laplace_cdf, LaplaceDist(1.0, 2.0), xs)
         assert np.all(np.diff(values) >= 0)
         assert np.all((values > 0) & (values < 1))
 
@@ -97,7 +99,7 @@ class TestQuantile:
     def test_cdf_roundtrip_on_percentiles(self):
         dist = LaplaceDist(1.0, 2.0)
         ps = np.arange(1, 100) / 100.0
-        back = laplace_cdf(dist, laplace_quantile(dist, ps))
+        back = pointwise(laplace_cdf, dist, laplace_quantile(dist, ps))
         np.testing.assert_allclose(back, ps, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
@@ -146,16 +148,6 @@ class TestScalarPath:
         laplace_quantile(LaplaceDist(1.0, 2.0), p)
         np.testing.assert_array_equal(p, before)
 
-    @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf])
-    @pytest.mark.parametrize("dist", SCALAR_DISTS)
-    def test_density_and_cdf_match_array_form(self, func, dist):
-        xs = np.concatenate([laplace_quantile(dist, SCALAR_GRID_U),
-                             [0.0, -0.0, dist.location, -1e308, 1e308]])
-        with np.errstate(over="ignore"):  # (x - q)/b overflows at x = -1e308, 1e308
-            batched = func(dist, xs)
-        scalar = [func(dist, float(x)) for x in xs]
-        np.testing.assert_array_equal(scalar, batched)
-
     @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf, laplace_quantile])
     def test_results_are_python_floats(self, func):
         dist = LaplaceDist(np.float64(0.5), 2.0)
@@ -173,8 +165,8 @@ class TestScalarPath:
 
     @pytest.mark.parametrize("func", [laplace_pdf, laplace_cdf])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_error_matches_array_form(self, func, x):
-        for arg in (x, np.float64(x), np.array([0.0, x])):
+    def test_nonfinite_input_is_value_error(self, func, x):
+        for arg in (x, np.float64(x), np.asarray(x)):
             with pytest.raises(ValueError, match="non-finite input"):
                 func(LaplaceDist(0.0, 1.0), arg)
 
@@ -219,7 +211,7 @@ class TestSampling:
     def test_empirical_cdf_matches_analytic(self):
         dist = LaplaceDist(0.0, 1.0)
         draws = sample_laplace(dist, RngState(42), size=10**5)
-        result = stats.kstest(draws, lambda x: laplace_cdf(dist, x))
+        result = stats.kstest(draws, lambda x: pointwise(laplace_cdf, dist, x))
         assert result.pvalue > 0.001
 
     def test_one_uniform_per_draw(self):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -21,21 +22,22 @@ from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
     Variant,
+    adjacent_densities,
     apply_postprocessor,
     guaranteed_privacy_level,
     make_laplace_mechanism,
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
-    restricted_pdf,
     restricted_quantile,
     sample_mechanism,
     sample_restricted_inverse,
     sample_restricted_rejection,
 )
+from nonneg_dp.verify import certify_dp_densities
 
 from piecewise_linear import wavy_ramp
-from restricted_law import restricted_cdf
+from restricted_law import pointwise, restricted_cdf, restricted_pdf
 
 
 class _FixedUniform:
@@ -319,7 +321,7 @@ class TestRestrictedLaw:
         for q, b in [(0.0, 1.0), (2.0, 0.5), (10.0, 0.5)]:
             base = LaplaceDist(q, b)
             grid = np.linspace(-10 * b, q + 10 * b, 2000)
-            assert np.all(restricted_cdf(base, grid) < laplace_cdf(base, grid))
+            assert np.all(restricted_cdf(base, grid) < pointwise(laplace_cdf, base, grid))
 
     @pytest.mark.parametrize("loc", [-1e-300, -1.0, -20.0, -40.0])
     def test_negative_location_is_value_error(self, loc):
@@ -470,17 +472,13 @@ class TestScalarPath:
         np.testing.assert_array_equal(scalar, sample_mechanism(spec, q, RngState(77), size=20_000))
 
     @pytest.mark.parametrize("q,b", [(0.0, 1.0), (0.5, 2.0), (30.0, 0.7), (1e6, 1e-3)])
-    def test_restricted_quantile_and_pdf_match_array_form(self, q, b):
+    def test_restricted_quantile_matches_array_form(self, q, b):
         base = LaplaceDist(q, b)
         us = np.concatenate([[_TINY, 1e-300, 0.5, 1.0 - 2**-53],
                              np.random.default_rng(2025).random(2000)])
         batched = restricted_quantile(base, us)
         scalar = [restricted_quantile(base, float(u)) for u in us]
         np.testing.assert_array_equal(scalar, batched)
-        xs = np.concatenate([batched, [0.0, -0.0, -1.0, q, 1e308]])
-        with np.errstate(over="ignore"):  # (x - q)/b overflows at x = 1e308
-            batched_pdf = restricted_pdf(base, xs)
-        np.testing.assert_array_equal([restricted_pdf(base, float(x)) for x in xs], batched_pdf)
 
     @pytest.mark.parametrize("name", ["ramp", "translated-ramp", "softplus"])
     def test_postprocessor_matches_array_form(self, name):
@@ -595,11 +593,20 @@ class TestBlockedBatch:
 
 
 class TestDensityRatioCertificates:
-    """Pointwise density-ratio bounds at the guaranteed privacy level."""
+    """Pointwise density-ratio bounds at the guaranteed privacy level, from
+    the test-side densities one point at a time, and the independent grid
+    check of the kink certificate of ``adjacent_densities``."""
 
-    def _max_ratio(self, pdf_a, pdf_b, grid):
-        fa, fb = pdf_a(grid), pdf_b(grid)
-        return float(np.max(np.abs(np.log(fa) - np.log(fb))))
+    @staticmethod
+    def _max_ratio(pdf_a, pdf_b, grid):
+        """max |log pdf_a(x) - log pdf_b(x)| over the grid points where both
+        densities are normal doubles, and how many points those are."""
+        worst, used = 0.0, 0
+        for x in grid.tolist():
+            fa, fb = pdf_a(x), pdf_b(x)
+            if fa >= sys.float_info.min and fb >= sys.float_info.min:
+                worst, used = max(worst, abs(math.log(fa) - math.log(fb))), used + 1
+        return worst, used
 
     def test_plain_pairs_within_epsilon(self):
         privacy = PrivacyParams(1.0, 1.0)
@@ -610,8 +617,9 @@ class TestDensityRatioCertificates:
         pairs += [(q, q + gap) for q, gap in zip(rng.uniform(0, 5, 50), rng.uniform(0, 1, 50))]
         for q, qp in pairs:
             grid = np.linspace(min(q, qp) - 10, max(q, qp) + 10, 2000)
-            ratio = self._max_ratio(lambda x: laplace_pdf(LaplaceDist(q, spec.scale), x),
-                                    lambda x: laplace_pdf(LaplaceDist(qp, spec.scale), x), grid)
+            a, b = LaplaceDist(q, spec.scale), LaplaceDist(qp, spec.scale)
+            ratio, used = self._max_ratio(lambda x: laplace_pdf(a, x), lambda x: laplace_pdf(b, x), grid)
+            assert used == grid.size
             assert ratio <= level * (1 + 1e-9)
 
     def test_restricted_pairs_within_doubled_epsilon(self):
@@ -623,8 +631,10 @@ class TestDensityRatioCertificates:
         pairs += [(q, q + gap) for q, gap in zip(rng.uniform(0, 5, 50), rng.uniform(0, 1, 50))]
         for q, qp in pairs:
             grid = np.linspace(0.0, max(q, qp) + 10, 2000)
-            ratio = self._max_ratio(lambda x: restricted_pdf(LaplaceDist(q, spec.scale), x),
-                                    lambda x: restricted_pdf(LaplaceDist(qp, spec.scale), x), grid)
+            a, b = LaplaceDist(q, spec.scale), LaplaceDist(qp, spec.scale)
+            ratio, used = self._max_ratio(lambda x: restricted_pdf(a, x), lambda x: restricted_pdf(b, x),
+                                          grid)
+            assert used == grid.size
             assert ratio <= level * (1 + 1e-9)
 
     def test_multiplicative_pairs_within_epsilon_on_log_scale(self):
@@ -639,6 +649,31 @@ class TestDensityRatioCertificates:
         for q, qp in pairs:
             locs = (math.log(q), math.log(qp))
             grid = np.linspace(min(locs) - 10 * spec.scale, max(locs) + 10 * spec.scale, 2000)
-            ratio = self._max_ratio(lambda x: laplace_pdf(LaplaceDist(locs[0], spec.scale), x),
-                                    lambda x: laplace_pdf(LaplaceDist(locs[1], spec.scale), x), grid)
+            a, b = LaplaceDist(locs[0], spec.scale), LaplaceDist(locs[1], spec.scale)
+            ratio, used = self._max_ratio(lambda x: laplace_pdf(a, x), lambda x: laplace_pdf(b, x), grid)
+            assert used == grid.size
             assert ratio <= level * (1 + 1e-9)
+
+    @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.RESTRICTED, Variant.MULTIPLICATIVE],
+                             ids=lambda v: v.value)
+    @pytest.mark.parametrize("b", [1e-3, 1e3])
+    @pytest.mark.parametrize("s", [1e-6, 0.8, 30.0])
+    def test_grid_never_exceeds_the_kink_value(self, variant, b, s):
+        """On 20 001 points over [-10b, Delta + 10b] the log ratio of the
+        test-side densities stays within 1e-12(1 + eps) of the certificate's
+        value at the kinks, and comes within one grid step of reaching it."""
+        delta = s * b
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the multiplicative spec warns at b >= 1/2
+            spec = MechanismSpec(variant, PrivacyParams(s, delta), delta / s)
+        log_a, log_b, points = adjacent_densities(spec)
+        kink = certify_dp_densities(log_a, log_b, guaranteed_privacy_level(spec),
+                                    points).max_log_ratio_observed
+        scale = spec.scale
+        pdf = restricted_pdf if variant is Variant.RESTRICTED else laplace_pdf
+        a, b_ = LaplaceDist(0.0, scale), LaplaceDist(delta, scale)
+        grid = np.linspace(-10 * scale, delta + 10 * scale, 20_001)
+        worst, used = self._max_ratio(lambda x: pdf(a, x), lambda x: pdf(b_, x), grid)
+        step = float(grid[1] - grid[0])
+        assert used > grid.size // 3
+        assert kink - 2 * step / scale - 1e-12 * (1 + kink) <= worst <= kink + 1e-12 * (1 + kink)

@@ -35,11 +35,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset((0.5,), 1.0, 0.0)
 
-    def test_replace_produces_adjacent_dataset(self):
-        d = Dataset((0.2, 0.4, 0.6), 0.0, 1.0)
-        other = d.replace(1, 0.9)
-        assert other.records == (0.2, 0.9, 0.6)
-
 
 class TestQueryDescriptor:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
@@ -161,7 +156,8 @@ class TestAdjacentPairProperties:
             records = tuple(rng.uniform(lower, upper, size=n))
             d = Dataset(records, lower, upper)
             index = int(rng.integers(n))
-            other = d.replace(index, float(rng.uniform(lower, upper)))
+            other = Dataset(records[:index] + (float(rng.uniform(lower, upper)),) + records[index + 1:],
+                            lower, upper)
             for qd in queries:
                 a, b = evaluate_query(qd, d), evaluate_query(qd, other)
                 assert abs(a - b) <= deltas[id(qd)]

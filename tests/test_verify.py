@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,19 +11,20 @@ from nonneg_dp.distributions import (
     LaplaceDist,
     RngState,
     laplace_cdf,
-    laplace_pdf,
     laplace_quantile,
     log_laplace_mgf,
 )
 from nonneg_dp.mechanisms import (
+    MechanismSpec,
     PostProcessor,
     PrivacyParams,
+    Variant,
     adjacent_densities,
+    guaranteed_privacy_level,
     make_laplace_mechanism,
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
-    restricted_pdf,
     restricted_quantile,
     sample_mechanism,
 )
@@ -33,83 +35,110 @@ from nonneg_dp.verify import (
     mc_bias,
 )
 
-from restricted_law import restricted_cdf
+from restricted_law import pointwise, restricted_cdf
 
 
 class TestCertifyDpDensities:
     def test_laplace_extremal_pair_meets_epsilon_exactly(self):
-        a, b = LaplaceDist(0.0, 1.0), LaplaceDist(1.0, 1.0)
-        grid = np.linspace(-10, 11, 2000)
-        cert = certify_dp_densities(lambda x: laplace_pdf(a, x),
-                                    lambda x: laplace_pdf(b, x), 1.0, grid)
+        log_a, log_b, points = adjacent_densities(make_laplace_mechanism(PrivacyParams(1.0, 1.0)))
+        cert = certify_dp_densities(log_a, log_b, 1.0, points)
         assert cert.passed
-        assert cert.max_log_ratio_observed == pytest.approx(1.0, abs=1e-9)
+        assert cert.max_log_ratio_observed == 1.0
+        assert cert.grid_description == "2 points in [0, 1]"
 
     def test_identical_densities(self):
-        dist = LaplaceDist(2.0, 1.0)
-        grid = np.linspace(-5, 9, 500)
-        cert = certify_dp_densities(lambda x: laplace_pdf(dist, x),
-                                    lambda x: laplace_pdf(dist, x), 1e-6, grid)
+        log_density = lambda x: -abs(x - 2.0)
+        cert = certify_dp_densities(log_density, log_density, 1e-6, np.linspace(-5, 9, 500))
         assert cert.passed
         assert cert.max_log_ratio_observed == 0.0
 
     def test_restricted_pair_passes_doubled_and_fails_single(self):
-        a, b = LaplaceDist(0.0, 1.0), LaplaceDist(1.0, 1.0)
-        grid = np.linspace(0.0, 11, 2000)
-        da = lambda x: restricted_pdf(a, x)
-        db = lambda x: restricted_pdf(b, x)
-        assert certify_dp_densities(da, db, 2.0, grid).passed
-        failed = certify_dp_densities(da, db, 1.0, grid)
+        log_a, log_b, points = adjacent_densities(make_restricted_mechanism(PrivacyParams(1.0, 1.0)))
+        assert certify_dp_densities(log_a, log_b, 2.0, points).passed
+        failed = certify_dp_densities(log_a, log_b, 1.0, points)
         assert not failed.passed
         # the renormalizer contributes log((1 - F_b(0)) / (1 - F_a(0))) on top of epsilon
         extra = math.log((1 - 0.5 * math.exp(-1)) / 0.5)
-        assert failed.max_log_ratio_observed == pytest.approx(1.0 + extra, abs=1e-9)
+        assert failed.max_log_ratio_observed == pytest.approx(1.0 + extra, abs=1e-15)
 
     def test_rejects_vanishing_density(self):
-        a = LaplaceDist(1.0, 1.0)
-        grid = np.linspace(-2, 5, 100)  # restricted density is zero below 0
-        with pytest.raises(ValueError, match="strictly positive"):
-            certify_dp_densities(lambda x: restricted_pdf(a, x),
-                                 lambda x: laplace_pdf(a, x), 1.0, grid)
+        log_a, log_b, _ = adjacent_densities(make_restricted_mechanism(PrivacyParams(1.0, 1.0)))
+        # the restricted density is zero below 0
+        with pytest.raises(ValueError, match="finite"):
+            certify_dp_densities(log_a, log_b, 2.0, [-1.0, 0.0, 1.0])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            certify_dp_densities(lambda x: 1.0, lambda x: 1.0, 1.0, [])
+            certify_dp_densities(lambda x: 0.0, lambda x: 0.0, 1.0, [])
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
     def test_rejects_claimed_level_that_is_not_finite_and_nonnegative(self, eps):
-        dist = LaplaceDist(0.0, 1.0)
+        log_density = lambda x: -abs(x)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            certify_dp_densities(lambda x: laplace_pdf(dist, x),
-                                 lambda x: laplace_pdf(dist, x), eps, np.linspace(-1, 1, 5))
+            certify_dp_densities(log_density, log_density, eps, np.linspace(-1, 1, 5))
 
     def test_claimed_level_zero_certifies_identical_densities(self):
-        dist = LaplaceDist(0.0, 1.0)
-        assert certify_dp_densities(lambda x: laplace_pdf(dist, x),
-                                    lambda x: laplace_pdf(dist, x), 0.0,
-                                    np.linspace(-1, 1, 5)).passed
+        log_density = lambda x: -abs(x)
+        assert certify_dp_densities(log_density, log_density, 0.0, np.linspace(-1, 1, 5)).passed
 
-    def test_calls_each_density_once_on_the_grid_array(self):
+    def test_calls_each_log_density_once_per_point(self):
         calls = []
 
-        def density(x):
+        def log_density(x):
             calls.append(x)
-            return laplace_pdf(LaplaceDist(0.0, 1.0), x)
+            return -abs(x)
 
-        certify_dp_densities(density, density, 1.0, np.linspace(-3.0, 3.0, 50))
-        assert [(type(x), x.shape) for x in calls] == [(np.ndarray, (50,))] * 2
+        certify_dp_densities(log_density, log_density, 1.0, np.linspace(-3.0, 3.0, 50))
+        points = np.linspace(-3.0, 3.0, 50).tolist()
+        assert calls == [x for x in points for _ in range(2)]
+        assert all(type(x) is float for x in calls)
 
-    @pytest.mark.parametrize("make", [
-        lambda: make_laplace_mechanism(PrivacyParams(0.8, 1.5)),
-        lambda: make_restricted_mechanism(PrivacyParams(0.5, 1.0)),
-        lambda: make_multiplicative_mechanism(1.0, 0.3),
-    ], ids=["laplace", "restricted", "multiplicative"])
-    def test_array_evaluation_equals_pointwise(self, make):
-        density_a, density_b, grid = adjacent_densities(make())
-        fa = np.array([density_a(float(x)) for x in grid])
-        fb = np.array([density_b(float(x)) for x in grid])
-        pointwise = float(np.max(np.abs(np.log(fa) - np.log(fb))))
-        assert certify_dp_densities(density_a, density_b, 1.0, grid).max_log_ratio_observed == pointwise
+    def test_postprocessed_has_no_density(self):
+        spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), PostProcessor.ramp())
+        with pytest.raises(ValueError, match="no closed-form density"):
+            adjacent_densities(spec)
+
+    def test_zero_scale_is_value_error(self):
+        with pytest.warns(UserWarning, match="degenerate"):
+            spec = make_laplace_mechanism(PrivacyParams(1.0, 0.0))
+        with pytest.raises(ValueError, match="^scale must be finite and > 0, got 0.0"):
+            adjacent_densities(spec)
+
+
+def _exact_log_ratio(variant, delta, b):
+    """sup of the adjacent log density ratio at the doubles delta and b, 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(delta) / mpmath.mpf(b)
+        return float(s + mpmath.log(2 - mpmath.exp(-s)) if variant is Variant.RESTRICTED else s)
+
+
+class TestExactCertificate:
+    """The certificate is the exact supremum of the log ratio, Delta/b,
+    s + log(2 - e^(-s)) with s = Delta/b, or K/b, over the whole range of b."""
+
+    @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.RESTRICTED, Variant.MULTIPLICATIVE],
+                             ids=lambda v: v.value)
+    @pytest.mark.parametrize("b", [1e-300, 1e-3, 1.0, 1e3, 1e300])
+    @pytest.mark.parametrize("s", [0.0, 1e-6, 0.8, 715.0, 1e5])
+    def test_max_log_ratio_within_4_ulps_and_passes_at_guaranteed_level(self, variant, b, s):
+        # At s = 0 the sensitivity is 0 and the scale is given: b = 0/eps would be no noise.
+        privacy = PrivacyParams(s or 1.0, s * b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the multiplicative spec warns at b >= 1/2
+            spec = MechanismSpec(variant, privacy, privacy.scale if s else b)
+        log_a, log_b, points = adjacent_densities(spec)
+        assert points == (0.0, privacy.sensitivity)
+        cert = certify_dp_densities(log_a, log_b, guaranteed_privacy_level(spec), points)
+        exact = _exact_log_ratio(variant, privacy.sensitivity, spec.scale)
+        assert abs(cert.max_log_ratio_observed - exact) <= 4 * math.ulp(exact)
+        assert cert.passed
+
+    def test_large_level_is_certified(self):
+        # The 2000-point grid of density values read 715.00000000153079 here and failed.
+        log_a, log_b, points = adjacent_densities(make_laplace_mechanism(PrivacyParams(715.0, 1.0)))
+        cert = certify_dp_densities(log_a, log_b, 715.0, points)
+        assert cert.max_log_ratio_observed == 1.0 / (1.0 / 715.0)
+        assert cert.passed
 
 
 class TestMcBias:
@@ -247,7 +276,7 @@ class TestStochasticDominance:
 
     @staticmethod
     def _gap(base, grid):
-        return laplace_cdf(base, grid) - restricted_cdf(base, grid)
+        return pointwise(laplace_cdf, base, grid) - restricted_cdf(base, grid)
 
     def test_strict_dominance_at_origin(self):
         gap = self._gap(LaplaceDist(0.0, 1.0), np.arange(-5.0, 10.0, 0.01))
