@@ -64,14 +64,29 @@ def bias_translated_ramp(q: float, alpha: float, b: float) -> float:
 
     Equals -alpha + (b/2)exp((alpha - q)/b) for q >= alpha and
     (b/2)exp((q - alpha)/b) - q below, so no E[output] ~ q is formed and
-    then cancelled against q.
+    then cancelled against q.  Near the zero of the bias its two terms
+    cancel, so where |bias| < alpha/64 it is evaluated again with 40
+    significant digits.
     """
     _require_positive("scale", b)
     _require_nonnegative("q", q)
     _require_nonnegative("alpha", alpha)
     if q >= alpha:
-        return 0.5 * b * math.exp((alpha - q) / b) - alpha
-    return 0.5 * b * math.exp((q - alpha) / b) - q
+        bias = 0.5 * b * math.exp((alpha - q) / b) - alpha
+    else:
+        bias = 0.5 * b * math.exp((q - alpha) / b) - q
+    return _ramp_bias_to_40_digits(q, alpha, b) if abs(bias) < alpha / 64 else bias
+
+
+def _ramp_bias_to_40_digits(q: float, alpha: float, b: float) -> float:
+    """The translated-ramp bias (b/2)exp(-|q - alpha|/b) - min(q, alpha),
+    evaluated with 40 significant digits and rounded once."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as context:
+        context.prec = 40
+        q, alpha, b = Decimal(q), Decimal(alpha), Decimal(b)
+        return float(b / 2 * (-abs(q - alpha) / b).exp() - min(q, alpha))
 
 
 def max_abs_bias_translated_ramp(alpha: float, b: float) -> float:
@@ -135,10 +150,12 @@ def _postprocessed_mean(pp: PostProcessor, q: float, b: float, offset: float) ->
 
 
 def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
-    """E[pp(q + noise)] by adaptive quadrature against the Laplace density."""
+    """E[pp(q + noise)] by adaptive quadrature against the Laplace density:
+    q plus the integral of pp(q + noise) - q, so that E - q keeps the
+    accuracy of :func:`quadrature_bias`."""
     _require_positive("scale", b)
     _require_nonnegative("q", q)
-    return _postprocessed_mean(pp, q, b, 0.0)
+    return q + _postprocessed_mean(pp, q, b, q)
 
 
 def closed_form_bias(spec: MechanismSpec, q: float) -> float:

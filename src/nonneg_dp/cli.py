@@ -53,7 +53,8 @@ _CONSTRUCTORS = {
 
 def __getattr__(name: str):
     # Only the benchmark's tracer (bench/tracing.py, proxy_quad) reads
-    # cli.integrate; this goes once it wraps bias.quadrature_bias instead.
+    # cli.integrate, and the package no longer calls scipy, which only the
+    # test extra installs; this goes once the tracer stops reading it.
     if name == "integrate":
         from scipy import integrate
         return integrate

@@ -22,7 +22,8 @@ quantile takes one log per draw and is branch-free; the public one never
 writes into its input, and the batched sampler runs the same steps in place
 over its output blocks.
 
-``_integrate`` is the package's one quadrature; it imports scipy when it runs.
+``_integrate`` is the package's one quadrature; it imports :mod:`nonneg_dp.quadpack`
+when it runs.
 ``_even_grid`` is its one evenly spaced grid, built without numpy.
 ``_require_positive`` and ``_require_nonnegative`` are the package's range checks.
 
@@ -200,30 +201,33 @@ def _even_grid(lo: float, hi: float, points: int) -> list[float]:
     div = points - 1
     delta = hi - lo
     step = delta / div
-    return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
+    if step:
+        return [i * step + lo for i in range(div)] + [hi]
+    return [i / div * delta + lo for i in range(div)] + [hi]
 
 
 def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
                points: list[float]) -> float:
-    """The package's one quadrature: adaptive quad of ``integrand`` over [lo, hi],
-    split at the ``points`` inside it (epsabs 1e-12, epsrel 1e-10, 400
-    subintervals or twice as many as points, if more).  QUADPACK's status is
-    read from quad's return value, whose fourth element is its message when
-    anything went wrong; no warning filter is touched, so a warning of the
-    integrand reaches the caller.
-    ValueError("integrand not integrable") when the value is not finite, when
-    the message calls the integral probably divergent, or when there is a
-    message and the error estimate is above max(1e-10, 1e-8|value|).
-    An exception of the integrand, such as OverflowError, propagates."""
-    from scipy import integrate
+    """The package's one quadrature: QUADPACK's adaptive Gauss-Kronrod
+    quadrature of ``integrand`` over [lo, hi] (:mod:`nonneg_dp.quadpack`),
+    split at the ``points`` inside it, with epsabs 1e-12, epsrel 1e-10 and
+    at most 400 subintervals, or twice as many as points, if more.  It is
+    QAGP with breakpoints and QAGS without, as ``scipy.integrate.quad``
+    chooses, and equals quad's value bit for bit.
+    ValueError("integrand not integrable") when the value is not finite,
+    when QUADPACK's status ier is 5 (probably divergent: its error estimate
+    means nothing), or when ier is any other non-zero status and the error
+    estimate is above max(1e-10, 1e-8|value|).  An exception or warning of
+    the integrand, such as OverflowError, reaches the caller."""
+    from .quadpack import qagp, qags
 
-    breakpoints = [x for x in points if lo < x < hi]
-    value, abserr, _, *trouble = integrate.quad(
-        integrand, lo, hi, points=breakpoints or None, epsabs=1e-12, epsrel=1e-10,
-        limit=max(400, 2 * len(breakpoints)), full_output=1)
-    # QUADPACK's ier = 5, whose error estimate means nothing.
-    divergent = bool(trouble) and trouble[0].startswith("The integral is probably divergent")
-    tolerance = max(1e-10, 1e-8 * abs(value))
-    if not math.isfinite(value) or divergent or (trouble and abserr > tolerance):
+    inside = [x for x in points if lo < x < hi]
+    limit = max(400, 2 * len(inside))
+    if inside:
+        fit = qagp(integrand, lo, hi, sorted(set(inside)), 1e-12, 1e-10, limit)
+    else:
+        fit = qags(integrand, lo, hi, 1e-12, 1e-10, limit)
+    tolerance = max(1e-10, 1e-8 * abs(fit.value))
+    if not math.isfinite(fit.value) or fit.ier == 5 or (fit.ier and fit.abserr > tolerance):
         raise ValueError("integrand not integrable")
-    return value
+    return fit.value

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -94,13 +95,13 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
     Laplace T, integrated in t = x/b over [-T, T] for T = 20, 40, ..., split
     at 0 and at the kinks, must settle; an overflow or a failed integral means
     it does not."""
+    largest = sys.float_info.max
     for x in _even_grid(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS):
-        value = float(func(x))
-        if not (math.isfinite(value) and value >= 0):
+        if not 0.0 <= float(func(x)) <= largest:   # false for nan and inf too
             raise ValueError("post-processor not nonnegative")
 
     def weighted_square(t: float) -> float:
-        return func(scale * t) ** 2 * math.exp(-abs(t)) / 2.0
+        return float(func(scale * t)) ** 2 * math.exp(-abs(t)) / 2.0
 
     points = [0.0] + [kink / scale for kink in kinks]
     radius = 20.0

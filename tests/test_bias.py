@@ -142,6 +142,26 @@ class TestTranslatedRampBias:
             error = abs(mpmath.mpf(bias_translated_ramp(q, alpha, b)) - exact)
             assert error <= 4 * 2.0**-53 * size
 
+    def test_matches_mpmath_near_its_zero(self):
+        # Near the zero the two terms cancel: in doubles alone the bias was
+        # off by up to 2.8e-9 relative.  The zero is alpha + b ln(b/2alpha)
+        # when alpha <= b/2, else -b W(-e^(-alpha/b)/2), below alpha.
+        rng = np.random.default_rng(64)
+        for _ in range(300):
+            b = float(10 ** rng.uniform(-6, 6))
+            alpha = b * float(rng.uniform(0.01, 3.0))
+            with mpmath.workdps(50):
+                a_, b_ = mpmath.mpf(alpha), mpmath.mpf(b)
+                if alpha <= b / 2:
+                    zero = a_ + b_ * mpmath.log(b_ / (2 * a_))
+                else:
+                    zero = -b_ * mpmath.lambertw(-mpmath.exp(-a_ / b_) / 2).real
+                q = float(zero * (1 + mpmath.mpf(float(rng.uniform(-1e-4, 1e-4)))))
+                q_ = mpmath.mpf(q)
+                exact = b_ / 2 * mpmath.exp(-abs(q_ - a_) / b_) - min(q_, a_)
+                error = abs(mpmath.mpf(bias_translated_ramp(q, alpha, b)) - exact)
+                assert error <= 2.0**-52 * abs(exact), (q, alpha, b)
+
 
 class TestWorstCaseBias:
     def test_zero_translation_gives_half_scale(self):
@@ -379,9 +399,43 @@ class TestQuadratureEngine:
                 expectation_translated_ramp(q, alpha, b), abs=1e-8)
 
     def test_zero_function_has_zero_expectation(self):
+        # q plus the integral of (0 - q) against the density: zero to the
+        # accuracy of the bias, 1e-15(q + b).
         pp = PostProcessor.custom(lambda x: 0.0, scale=1.0)
         for q in (0.0, 1.0, 5.0):
-            assert expectation_postprocessed_quadrature(pp, q, 1.0) == 0.0
+            assert abs(expectation_postprocessed_quadrature(pp, q, 1.0)) <= 1e-15 * (q + 1.0)
+
+    @staticmethod
+    def _softplus(x):
+        return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+    def test_softplus_expectation_minus_q_is_its_quadrature_bias(self):
+        # E - q lost up to 1.06e-10(q + b) when E was integrated whole and q
+        # subtracted afterwards; now only the rounding of q + bias remains.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            b = float(10 ** rng.uniform(-2, 2))
+            q = b * float(rng.uniform(0.0, 12.0))
+            pp = PostProcessor.custom(self._softplus, b)
+            bias = quadrature_bias(make_postprocessed_mechanism(PrivacyParams(1.0, b), pp), q)
+            assert abs(expectation_postprocessed_quadrature(pp, q, b) - q - bias) <= 2.0**-52 * (q + abs(bias))
+
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    def test_softplus_expectation_minus_q_matches_mpmath(self, b):
+        pp = PostProcessor.custom(self._softplus, b)
+        rng = np.random.default_rng(1)
+        for q in (b * rng.uniform(0.0, 12.0, 30)).tolist():
+            with mpmath.workdps(30):
+                q_, b_ = mpmath.mpf(q), mpmath.mpf(b)
+
+                def excess(z):
+                    x = q_ + z
+                    value = mpmath.log1p(mpmath.exp(x)) if x < 0 else x + mpmath.log1p(mpmath.exp(-x))
+                    return (value - q_) * mpmath.exp(-abs(z) / b_) / (2 * b_)
+
+                exact = mpmath.quad(excess, [-mpmath.inf, -q_, 0, mpmath.inf])
+            error = abs(mpmath.mpf(expectation_postprocessed_quadrature(pp, q, b) - q) - exact)
+            assert error <= 1e-15 * (q + b), (q, float(error / (q + b)))
 
     def test_non_integrable_function_raises(self):
         # bypasses the constructor check; the engine must still notice.  At

@@ -605,8 +605,9 @@ class TestErrorHandling:
 
 
 class TestColdImport:
-    """A fresh process loads scipy only for the subcommands that integrate,
-    and executes numpy only for those that build arrays."""
+    """A fresh process never loads scipy, loads the quadrature only for the
+    subcommands that integrate, and executes numpy only for those that
+    build arrays."""
 
     # numpy.* submodules exist only once numpy has executed; the lazily
     # loaded numpy entry itself does not count.
@@ -614,7 +615,8 @@ class TestColdImport:
         "import json, sys\n"
         "import nonneg_dp, nonneg_dp.cli\n"
         "code = nonneg_dp.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'scipy' or m == 'nonneg_dp.quadpack'),\n"
         "                  sorted(m for m in sys.modules if m.startswith('numpy.'))]))\n"
     )
 
@@ -626,7 +628,7 @@ class TestColdImport:
         env.pop("NONNEG_DP_SEED", None)
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv, "--out", str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=120, check=True)
-        return json.loads(proc.stdout)   # [exit code, scipy modules, numpy submodules loaded]
+        return json.loads(proc.stdout)   # [exit code, scipy and quadpack modules, numpy submodules loaded]
 
     @pytest.mark.parametrize("argv", [
         ("optimal-alpha",),
@@ -634,12 +636,12 @@ class TestColdImport:
         ("verify-dp", "--mechanism", "laplace"),
         ("query-info", "--data", "{records}"),
     ], ids=lambda argv: argv[0])
-    def test_closed_form_subcommands_never_load_scipy(self, argv, tmp_path):
+    def test_closed_form_subcommands_never_load_the_quadrature(self, argv, tmp_path):
         records = tmp_path / "records.txt"
         records.write_text("0.25\n0.5\n")
         argv = [arg.replace("{records}", str(records)) for arg in argv]
-        code, scipy_modules, numpy_modules = self._fresh(tmp_path, *argv)
-        assert [code, scipy_modules] == [0, []]
+        code, quadrature_modules, numpy_modules = self._fresh(tmp_path, *argv)
+        assert [code, quadrature_modules] == [0, []]
         assert (numpy_modules == []) == (argv[0] in self.NUMPY_FREE)
 
     @pytest.mark.parametrize("mechanism", [("restricted",), ("multiplicative", "--kbound", "0.3")],
@@ -647,16 +649,36 @@ class TestColdImport:
     def test_every_certificate_loads_neither_library(self, mechanism, tmp_path):
         assert self._fresh(tmp_path, "verify-dp", "--mechanism", *mechanism) == [0, [], []]
 
-    def test_log_grid_loads_numpy_without_scipy(self, tmp_path):
-        code, scipy_modules, numpy_modules = self._fresh(tmp_path, "compare", "--q-log", "--q-min", "1")
-        assert [code, scipy_modules] == [0, []]
+    def test_log_grid_loads_numpy_without_the_quadrature(self, tmp_path):
+        code, quadrature_modules, numpy_modules = self._fresh(tmp_path, "compare", "--q-log", "--q-min", "1")
+        assert [code, quadrature_modules] == [0, []]
         assert numpy_modules
 
-    def test_quadrature_loads_scipy(self, tmp_path):
-        code, scipy_modules, _ = self._fresh(tmp_path, "bias-curve", "--mechanism", "bit",
-                                             "--q-points", "2", "--samples", "100")
-        assert code == 0
-        assert "scipy.integrate" in scipy_modules
+    def test_every_integral_runs_with_scipy_blocked(self, tmp_path):
+        # sys.modules["scipy"] = None makes any import of scipy fail, as if
+        # it were not installed.
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import nonneg_dp.cli\n"
+            "from nonneg_dp.mechanisms import PostProcessor\n"
+            "from nonneg_dp.verify import check_divergence_log_laplace\n"
+            "out = sys.argv[1]\n"
+            "codes = [nonneg_dp.cli.main([command, '--mechanism', *mechanism, '--q-points', '2',\n"
+            "                             '--samples', '100', '--out', out])\n"
+            "         for command in ('bias-curve', 'mc-validate')\n"
+            "         for mechanism in (['laplace'], ['bit'], ['ramp'], ['restricted'],\n"
+            "                           ['multiplicative', '--kbound', '0.3', '--q-min', '1'])]\n"
+            "PostProcessor.custom(lambda x: max(x, 0.0), 1.0)\n"
+            "report = check_divergence_log_laplace(1.0, (10.0, 20.0, 40.0, 80.0, 160.0))\n"
+            "print(json.dumps([codes, report.diverges, 'nonneg_dp.quadpack' in sys.modules,\n"
+            "                  sorted(m for m in sys.modules if m.startswith('scipy.'))]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("NONNEG_DP_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout) == [[0] * 10, True, True, []]
 
     def test_import_without_numpy_fails(self):
         script = ("import sys\n"
