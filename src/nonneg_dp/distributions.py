@@ -211,22 +211,19 @@ def _integrate(integrand: Callable[[float], float], lo: float, hi: float,
     """The package's one quadrature: QUADPACK's adaptive Gauss-Kronrod
     quadrature of ``integrand`` over [lo, hi] (:mod:`nonneg_dp.quadpack`),
     split at the ``points`` inside it, with epsabs 1e-12, epsrel 1e-10 and
-    at most 400 subintervals, or twice as many as points, if more.  It is
-    QAGP with breakpoints and QAGS without, as ``scipy.integrate.quad``
-    chooses, and equals quad's value bit for bit.
+    at most 400 subintervals, or twice as many as the points inside
+    (duplicates counted), if more.  It is QAGP over the distinct points
+    inside, which may be none, and equals ``scipy.integrate.quad`` given
+    them as ``points`` bit for bit.
     ValueError("integrand not integrable") when the value is not finite,
     when QUADPACK's status ier is 5 (probably divergent: its error estimate
     means nothing), or when ier is any other non-zero status and the error
     estimate is above max(1e-10, 1e-8|value|).  An exception or warning of
     the integrand, such as OverflowError, reaches the caller."""
-    from .quadpack import qagp, qags
+    from .quadpack import qagp
 
     inside = [x for x in points if lo < x < hi]
-    limit = max(400, 2 * len(inside))
-    if inside:
-        fit = qagp(integrand, lo, hi, sorted(set(inside)), 1e-12, 1e-10, limit)
-    else:
-        fit = qags(integrand, lo, hi, 1e-12, 1e-10, limit)
+    fit = qagp(integrand, lo, hi, sorted(set(inside)), 1e-12, 1e-10, max(400, 2 * len(inside)))
     tolerance = max(1e-10, 1e-8 * abs(fit.value))
     if not math.isfinite(fit.value) or fit.ier == 5 or (fit.ier and fit.abserr > tolerance):
         raise ValueError("integrand not integrable")

@@ -202,7 +202,9 @@ class MechanismSpec:
     by the true query value at sampling time.  Its privacy level
     (:func:`guaranteed_privacy_level`) and ``warning`` follow ``scale``, also
     through ``dataclasses.replace``; a spec warns when it is made.  It has a
-    ``postprocessor`` exactly when it is post-processed."""
+    ``postprocessor`` exactly when it is post-processed.  ``scale`` and
+    ``privacy.scale`` are each 0 or a normal double: a subnormal one has lost
+    bits, so the level Delta/b it gives can exceed epsilon."""
 
     variant: Variant
     privacy: PrivacyParams
@@ -211,6 +213,9 @@ class MechanismSpec:
 
     def __post_init__(self):
         _require_nonnegative("scale", self.scale)
+        for name, b in (("scale", self.scale), ("sensitivity/epsilon", self.privacy.scale)):
+            if 0.0 < b < sys.float_info.min:
+                raise ValueError(f"{name} must be 0 or at least {sys.float_info.min}, got {b}")
         if (self.postprocessor is None) == (self.variant is Variant.POST_PROCESSED):
             raise ValueError("a spec has a post-processor exactly when it is post-processed")
         if self.warning is not None:

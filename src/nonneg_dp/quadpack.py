@@ -1,27 +1,40 @@
-"""QUADPACK's adaptive quadrature QAGS and QAGP, in pure Python.
+"""QUADPACK's adaptive quadrature QAGP, in pure Python.
 
-A line-for-line port of ``dqagse`` (no breakpoints) and ``dqagpe``
-(breakpoints) with their helpers ``dqk21``, ``dqpsrt`` and ``dqelg``, from
-R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and D. K. Kahaner,
-*QUADPACK: a subroutine package for automatic integration*, Springer 1983.
-These are the routines ``scipy.integrate.quad`` runs on a finite interval,
-without and with ``points``.  Every floating-point operation is done in
-the Fortran's order, with its decimal node constants and d1mach values, so
-value, error estimate, evaluation count and interval lists equal scipy's
-bit for bit.
+A line-for-line port of ``dqagpe`` with its helpers ``dqk21``, ``dqpsrt``
+and ``dqelg``, from R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber
+and D. K. Kahaner, *QUADPACK: a subroutine package for automatic
+integration*, Springer 1983.  Every floating-point operation is done in the
+Fortran's order, with its decimal node constants and d1mach values, so
+``qagp(f, a, b, points, ...)`` equals ``scipy.integrate.quad(f, a, b,
+points=points, ...)`` bit for bit (value, error estimate, status,
+evaluation count and interval lists), also when ``points`` is empty: quad
+runs dqagpe whenever it is given ``points``.
 
-Both routines take an integrand ``f`` that returns a float, ``a < b``,
-``epsabs``, ``epsrel`` and ``limit`` (the most subintervals) as quad passes
-them, and return a :class:`Quadrature`.
-Its ``ier`` is QUADPACK's status: 0 success, 1 the subdivision limit is
-reached, 2 roundoff prevents the requested accuracy, 3 bad integrand
-behaviour at some point, 4 roundoff in the extrapolation table, 5 the
-integral is probably divergent or slowly convergent.
+Without them quad runs ``dqagse`` (QAGS).  It bisects alike, comparing
+interval widths where dqagpe counts bisection levels, but differs in three
+places even with no breakpoint:
 
-Inside the routines arrays are indexed from 1, as in the Fortran, and slot
-0 is unused.  Python's ``float`` operations are the IEEE double ones;
-where Python raises instead (a division by zero, a ``**`` that overflows)
-the code takes the IEEE outcome by hand.
+1. dqagse keeps bisecting when its first error estimate is "undetermined"
+   (equal to the integral of |f - mean f|) though within the requested
+   accuracy; dqagpe stops there.
+2. dqagse takes the accuracy its extrapolation must reach from the area
+   after the first bisection; dqagpe from the first estimate of the area.
+3. dqagse stops extrapolating once the error is at most that accuracy;
+   dqagpe once it is below it.
+
+For f = 1e-14 sin(50x) on [0, 1] dqagse bisects once (``last`` 2), while
+dqagpe stops after its first 21 evaluations (``last`` 1).
+
+:func:`qagp` returns a :class:`Quadrature`.  Its ``ier`` is QUADPACK's
+status: 0 success, 1 the subdivision limit is reached, 2 roundoff prevents
+the requested accuracy, 3 bad integrand behaviour at some point, 4 roundoff
+in the extrapolation table, 5 the integral is probably divergent or slowly
+convergent.
+
+Inside the port arrays are indexed from 1, as in the Fortran, and slot 0 is
+unused.  Python's ``float`` operations are the IEEE double ones; where
+Python raises instead (a division by zero, a ``**`` that overflows) the
+code takes the IEEE outcome by hand.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-__all__ = ["Quadrature", "qags", "qagp"]
+__all__ = ["Quadrature", "qagp"]
 
 _EPMACH = 2.0 ** -52                 # d1mach(4), the relative spacing at 1
 _UFLOW = 2.0 ** -1022                # d1mach(1), the smallest normal double
@@ -64,7 +77,7 @@ _POINT_FLOOR = 1000.0 * _UFLOW
 
 
 class Quadrature(NamedTuple):
-    """What dqagse or dqagpe returns.  The interval lists hold the ``last``
+    """What dqagpe returns.  The interval lists hold the ``last``
     subintervals; ``iord`` (0-based) holds as many of their indices, by
     decreasing error estimate, as QUADPACK keeps sorted: ``last`` of them,
     or limit + 1 - last once last exceeds limit/2 + 2."""
@@ -250,206 +263,13 @@ def _qelg(n: int, epstab: list[float], res3la: list[float], nres: int) -> tuple[
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def _settle(result: float, abserr: float, area: float, errsum: float, rlist: list[float], last: int,
-            ier: int, ierro: int, correc: float, ksgn: int, defabs: float) -> tuple[float, float, int]:
-    """The common ending of dqagse and dqagpe: take the extrapolated result
-    or the sum of the interval results, test for divergence, and renumber
-    ier.  Returns the value, its error estimate and ier."""
-    summed = abserr == _OFLOW
-    if not summed:
-        test_divergence = True
-        if ier + ierro != 0:
-            if ierro == 3:
-                abserr = abserr + correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                summed = abserr / abs(result) > errsum / abs(area)
-            elif abserr > errsum:
-                summed = True
-            elif area == 0.0:
-                test_divergence = False
-        if not summed and test_divergence and not (
-                ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-            if area != 0.0:
-                ratio = result / area
-                off = 0.01 > ratio or ratio > 100.0
-            else:   # IEEE: result/area is +-inf, or nan when result is 0 or nan
-                off = result != 0.0 and not math.isnan(result)
-            if off or errsum > abs(area):
-                ier = 6
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    if ier > 2:
-        ier -= 1
-    return result, abserr, ier
-
-
-def _outcome(value, abserr, ier, nint, last, limit, alist, blist, rlist, elist, iord) -> Quadrature:
-    """The Quadrature of a run over ``nint`` starting intervals that ended with ``last``."""
-    kept = last if last <= limit // 2 + 2 else limit + 1 - last
-    return Quadrature(value, abserr, ier, 42 * last - 21 * nint, last, alist[1:], blist[1:],
-                      rlist[1:], elist[1:], [i - 1 for i in iord[1:kept + 1]])
-
-
-def qags(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float,
-         limit: int) -> Quadrature:
-    """dqagse: the integral of ``f`` over [a, b] by bisection of the interval
-    with the largest error, and Wynn's epsilon extrapolation over the
-    results of ever smaller intervals."""
-    ier = ierro = 0
-    result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    alist = [0.0, a]
-    blist = [0.0, b]
-    rlist = [0.0, result]
-    elist = [0.0, abserr]
-    iord = [0, 1]
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return _outcome(result, abserr, ier, 1, 1, limit, alist, blist, rlist, elist, iord)
-
-    rlist2 = [0.0] * (_LIMEXP + 3)
-    res3la = [0.0] * 4
-    rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
-    abserr = _OFLOW
-    nrmax = 1
-    nres = ktmin = iroff1 = iroff2 = iroff3 = 0
-    numrl2 = 2
-    extrap = noext = False
-    small = erlarg = ertest = correc = 0.0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    for last in range(2, limit + 1):
-        # Bisect the subinterval with the nrmax-th largest error estimate.
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, _, defab1 = _qk21(f, a1, b1)
-        area2, error2, _, defab2 = _qk21(f, a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist.append(area2)
-        errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= _POINT_WIDTH * (abs(a2) + _POINT_FLOOR):
-            ier = 4
-        # Store the halves: the one with the larger error keeps index maxerr.
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist.append(a1)
-            blist.append(b1)
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist.append(error1)
-        else:
-            alist.append(a2)
-            blist[maxerr] = b1
-            blist.append(b2)
-            elist[maxerr] = error1
-            elist.append(error2)
-        iord.append(0)
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            abserr = _OFLOW   # take the sum of the interval results
-            break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # Go on bisecting unless the interval to bisect next is the smallest.
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and erlarg > ertest:
-            # The smallest interval has the largest error: bisect the larger
-            # ones first, unless none is left among those kept sorted.
-            jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
-            larger_left = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger_left = True
-                    break
-                nrmax += 1
-            if larger_left:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        # Prepare to bisect the smallest interval.
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-    result, abserr, ier = _settle(result, abserr, area, errsum, rlist, last, ier, ierro, correc,
-                                  ksgn, defabs)
-    return _outcome(result, abserr, ier, 1, last, limit, alist, blist, rlist, elist, iord)
-
-
 def qagp(f: Callable[[float], float], a: float, b: float, points: list[float], epsabs: float,
          epsrel: float, limit: int) -> Quadrature:
-    """dqagpe: as :func:`qags`, over the subintervals between ``points``,
-    which are sorted, distinct, inside (a, b) and fewer than ``limit``;
-    extrapolation runs over the results of ever deeper bisection levels."""
+    """dqagpe: the integral of ``f`` over [a, b], ``a < b``, split at
+    ``points`` (sorted, distinct, inside (a, b), fewer than ``limit``).  It
+    bisects the subinterval with the largest error, up to ``limit``
+    subintervals, and extrapolates by Wynn's epsilon algorithm over the
+    results of ever deeper bisection levels."""
     npts2 = len(points) + 2
     nint = npts2 - 1
     alist = [0.0, a, *points]
@@ -458,6 +278,12 @@ def qagp(f: Callable[[float], float], a: float, b: float, points: list[float], e
     elist = [0.0]
     iord = list(range(nint + 1))
     level = [0] * (nint + 1)
+
+    def outcome(value: float, abserr: float, ier: int, last: int) -> Quadrature:
+        kept = last if last <= limit // 2 + 2 else limit + 1 - last
+        return Quadrature(value, abserr, ier, 42 * last - 21 * nint, last, alist[1:], blist[1:],
+                          rlist[1:], elist[1:], [i - 1 for i in iord[1:kept + 1]])
+
     ier = ierro = 0
     result = abserr = resabs = 0.0
     # Integrate over each subinterval between breakpoints.
@@ -496,7 +322,7 @@ def qagp(f: Callable[[float], float], a: float, b: float, points: list[float], e
         if limit < npts2:
             ier = 1
     if ier != 0 or abserr <= errbnd:
-        return _outcome(result, abserr, ier, nint, last, limit, alist, blist, rlist, elist, iord)
+        return outcome(result, abserr, ier, last)
 
     rlist2 = [0.0] * (_LIMEXP + 3)
     res3la = [0.0] * 4
@@ -620,6 +446,36 @@ def qagp(f: Callable[[float], float], a: float, b: float, points: list[float], e
         extrap = False
         levmax += 1
         erlarg = errsum
-    result, abserr, ier = _settle(result, abserr, area, errsum, rlist, last, ier, ierro, correc,
-                                  ksgn, resabs)
-    return _outcome(result, abserr, ier, nint, last, limit, alist, blist, rlist, elist, iord)
+    # Take the extrapolated result or the sum of the interval results, test
+    # for divergence, and renumber ier.
+    summed = abserr == _OFLOW
+    if not summed:
+        test_divergence = True
+        if ier + ierro != 0:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                summed = abserr / abs(result) > errsum / abs(area)
+            elif abserr > errsum:
+                summed = True
+            elif area == 0.0:
+                test_divergence = False
+        if not summed and test_divergence and not (
+                ksgn == -1 and max(abs(result), abs(area)) <= resabs * 0.01):
+            if area != 0.0:
+                ratio = result / area
+                off = 0.01 > ratio or ratio > 100.0
+            else:   # IEEE: result/area is +-inf, or nan when result is 0 or nan
+                off = result != 0.0 and not math.isnan(result)
+            if off or errsum > abs(area):
+                ier = 6
+    if summed:
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    if ier > 2:
+        ier -= 1
+    return outcome(result, abserr, ier, last)

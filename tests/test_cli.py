@@ -542,6 +542,17 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
+        ("verify-dp", "--mechanism", "laplace", "--epsilon", "6.104230829e43", "--sensitivity", "9.74e-272"),
+        ("verify-dp", "--mechanism", "laplace", "--scale", "1e-310"),
+        ("bias-curve", "--mechanism", "bit", "--scale", "1e-310", "--q-points", "2"),
+    ], ids=["verify-dp-scale-1.6e-315", "verify-dp-scale-flag", "bias-curve-scale-flag"])
+    def test_subnormal_scale_is_usage_error(self, argv, capsys):
+        # The first printed "passed": false and exited 1: its scale had lost
+        # bits, so the level Delta/b it gave exceeded epsilon.
+        assert run(*argv) == 2
+        assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
         ("compare", "--scale", "5", "--q-max", "2", "--q-points", "3"),
         ("compare", "--mechanism", "restricted"),
         ("query-info", "--sensitivity", "2"),

@@ -284,6 +284,30 @@ class TestLevelAndWarningFollowScale:
         with pytest.raises(ValueError, match="scale"):
             replace(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale=scale)
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, sys.float_info.min * (1.0 - 2.0**-52)])
+    def test_spec_rejects_a_subnormal_scale(self, scale):
+        # Such a scale has lost bits: at b = 1.6e-315 verify-dp measured a
+        # level Delta/b above the epsilon the spec claimed.
+        with pytest.raises(ValueError, match="^scale must be 0 or at least 2.2250738585072014e-308"):
+            replace(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale=scale)
+        with pytest.raises(ValueError, match="^scale must be 0 or at least"):
+            make_laplace_mechanism(PrivacyParams(1.0, scale))
+
+    def test_spec_rejects_a_subnormal_sensitivity_over_epsilon(self):
+        # The fair restricted spec doubles it to 3e-308, a normal scale.
+        privacy = PrivacyParams(1.0, 1.5e-308)
+        with pytest.raises(ValueError, match="^sensitivity/epsilon must be 0 or at least"):
+            make_restricted_mechanism(privacy, fair_comparison=True)
+        with pytest.raises(ValueError, match="^sensitivity/epsilon must be 0 or at least"):
+            MechanismSpec(Variant.PLAIN, privacy, 1.0)
+
+    def test_spec_accepts_zero_and_the_smallest_normal_scale(self):
+        assert make_laplace_mechanism(PrivacyParams(1.0, sys.float_info.min)).scale == sys.float_info.min
+        assert make_restricted_mechanism(PrivacyParams(4.0, 4.0 * sys.float_info.min)).scale == (
+            sys.float_info.min)
+        with pytest.warns(UserWarning, match="degenerate"):
+            assert make_laplace_mechanism(PrivacyParams(1e300, 1e-300)).scale == 0.0
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_spec_has_a_postprocessor_exactly_when_post_processed(self, variant):
         # A post-processed spec without one raised AttributeError when sampled;

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -132,6 +133,31 @@ class TestExactCertificate:
         exact = _exact_log_ratio(variant, privacy.sensitivity, spec.scale)
         assert abs(cert.max_log_ratio_observed - exact) <= 4 * math.ulp(exact)
         assert cert.passed
+
+    def test_default_claim_is_certified_for_every_accepted_spec(self):
+        # epsilon and the sensitivity log-uniform over 300 decades.  The spec
+        # rejects a subnormal scale sensitivity/epsilon, which has lost bits so
+        # that Delta/b can exceed epsilon; adjacent_densities rejects one that
+        # underflows to 0.
+        rng = random.Random(26)
+        makers = [make_laplace_mechanism, make_restricted_mechanism,
+                  lambda p: make_restricted_mechanism(p, fair_comparison=True)]
+        certified = subnormal = 0
+        for _ in range(3000):
+            privacy = PrivacyParams(10.0 ** rng.uniform(-3.0, 300.0), 10.0 ** rng.uniform(-300.0, 3.0))
+            make = rng.choice(makers)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # a scale of 0 warns: no noise
+                    spec = make(privacy)
+                log_a, log_b, points = adjacent_densities(spec)
+            except ValueError as exc:
+                subnormal += "must be 0 or at least" in str(exc)
+                continue
+            cert = certify_dp_densities(log_a, log_b, guaranteed_privacy_level(spec), points)
+            assert cert.passed, (privacy, spec.variant, spec.scale)
+            certified += 1
+        assert certified > 1000 and subnormal > 100
 
     def test_large_level_is_certified(self):
         # The 2000-point grid of density values read 715.00000000153079 here and failed.
