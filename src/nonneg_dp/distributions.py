@@ -17,10 +17,11 @@ The pdf and cdf take one point and return a Python ``float``.  The quantile
 takes a float (Python or numpy scalar) or an array.  A float skips numpy's
 array machinery but applies the same ``np.log``, so a scalar result is a
 Python ``float`` equal bit for bit to the array result at the same point: a
-scalar draw equals the batched draw at the same uniform.  The batched
-quantile takes one log per draw and is branch-free; the public one never
-writes into its input, and the batched sampler runs the same steps in place
-over its output blocks.
+scalar draw equals the batched draw at the same uniform.  The scalar
+samplers apply that float form, ``_scalar_quantile``, to each uniform
+directly.  The batched quantile takes one log per draw and is branch-free;
+the public one never writes into its input, and the batched sampler runs
+the same steps in place over its output blocks.
 
 ``_integrate`` is the package's one quadrature; it imports :mod:`nonneg_dp.quadpack`
 when it runs.
@@ -146,17 +147,20 @@ def laplace_cdf(dist: LaplaceDist, x: float) -> float:
 
 def laplace_quantile(dist: LaplaceDist, p):
     """Closed-form inverse cdf, valid for p in the open interval (0, 1)."""
-    if isinstance(p, float):
-        if p <= 0.0 or p >= 1.0:
-            raise ValueError("probability out of range")
-        if p < 0.5:
-            return float(dist.location + dist.scale * np.log(2.0 * p))
-        return float(dist.location - dist.scale * np.log(2.0 * (1.0 - p)))
+    if isinstance(p, float) and 0.0 < p < 1.0:
+        return _scalar_quantile(dist.location, dist.scale, p)
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("probability out of range")
     out = _quantile_in_place(dist, arr.copy(), np.empty(arr.shape))
     return out if arr.ndim else float(out)
+
+
+def _scalar_quantile(loc: float, b: float, p: float) -> float:
+    """Laplace (loc, b) quantile at one p in (0, 1) as a Python float, unchecked."""
+    if p < 0.5:
+        return float(loc + b * np.log(2.0 * p))
+    return float(loc - b * np.log(2.0 * (1.0 - p)))
 
 
 def _quantile_in_place(dist: LaplaceDist, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -166,8 +170,8 @@ def _quantile_in_place(dist: LaplaceDist, p: np.ndarray, scratch: np.ndarray) ->
     the range.
 
     It computes loc - copysign(b, p - 0.5) log(2 min(p, 1 - p)), one log per
-    point, which equals both scalar branches of :func:`laplace_quantile` bit
-    for bit (p = 0.5 takes the upper: p - 0.5 = +0.0).
+    point, which equals both branches of :func:`_scalar_quantile` bit for
+    bit (p = 0.5 takes the upper: p - 0.5 = +0.0).
     """
     np.subtract(1.0, p, out=scratch)
     np.log(np.multiply(np.minimum(p, scratch, out=scratch), 2.0, out=scratch), out=scratch)

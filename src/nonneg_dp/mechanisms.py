@@ -16,7 +16,8 @@ privacy, all built on Laplace noise of scale b:
 The restricted law is implemented both by rejection and by inverse transform;
 the two are distributionally identical, and the inverse form consumes exactly
 one uniform per draw, which the coupling diagnostics in
-:mod:`nonneg_dp.verify` exploit.
+:mod:`nonneg_dp.verify` exploit; its quantile is clamped at 0.  A scalar draw
+is computed straight from (q, b, u).
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .distributions import (
     _quantile_in_place,
     _require_nonnegative,
     _require_positive,
-    laplace_cdf,
+    _scalar_quantile,
     laplace_quantile,
     np,
-    sample_laplace,
 )
 
 __all__ = [
@@ -142,8 +142,8 @@ class PostProcessor:
 
     @classmethod
     def ramp(cls) -> "PostProcessor":
-        """max(x, 0): clamp negative outputs to the boundary."""
-        return cls.translated_ramp(0.0)
+        """max(x, 0): clamp negative outputs to the boundary; one shared instance."""
+        return _RAMP
 
     @classmethod
     def translated_ramp(cls, alpha: float) -> "PostProcessor":
@@ -196,6 +196,12 @@ class Variant(enum.Enum):
     MULTIPLICATIVE = "multiplicative"
 
 
+# Bound once, in definition order: a lookup such as Variant.RESTRICTED costs ten identity tests.
+_PLAIN, _POST_PROCESSED, _RESTRICTED, _MULTIPLICATIVE = Variant
+_SMALLEST_NORMAL = sys.float_info.min
+_RAMP = PostProcessor.translated_ramp(0.0)
+
+
 @dataclass(frozen=True)
 class MechanismSpec:
     """One mechanism family at the Laplace scale ``scale`` it uses, parameterized
@@ -212,14 +218,16 @@ class MechanismSpec:
     postprocessor: PostProcessor | None = None
 
     def __post_init__(self):
-        _require_nonnegative("scale", self.scale)
-        for name, b in (("scale", self.scale), ("sensitivity/epsilon", self.privacy.scale)):
-            if 0.0 < b < sys.float_info.min:
-                raise ValueError(f"{name} must be 0 or at least {sys.float_info.min}, got {b}")
-        if (self.postprocessor is None) == (self.variant is Variant.POST_PROCESSED):
+        scale, privacy_scale = self.scale, self.privacy.scale
+        _require_nonnegative("scale", scale)
+        if 0.0 < scale < _SMALLEST_NORMAL or 0.0 < privacy_scale < _SMALLEST_NORMAL:
+            name, b = (("scale", scale) if 0.0 < scale < _SMALLEST_NORMAL
+                       else ("sensitivity/epsilon", privacy_scale))
+            raise ValueError(f"{name} must be 0 or at least {_SMALLEST_NORMAL}, got {b}")
+        if (self.postprocessor is None) == (self.variant is _POST_PROCESSED):
             raise ValueError("a spec has a post-processor exactly when it is post-processed")
-        if self.warning is not None:
-            warnings.warn(self.warning)
+        if (warning := self.warning) is not None:
+            warnings.warn(warning)
 
     @property
     def warning(self) -> str | None:
@@ -227,7 +235,7 @@ class MechanismSpec:
         >= 1 iff K >= epsilon and >= 1/2 iff K >= epsilon/2."""
         if self.scale == 0.0:
             return "degenerate mechanism: zero sensitivity adds no noise"
-        if self.scale < 0.5 or self.variant is not Variant.MULTIPLICATIVE:
+        if self.scale < 0.5 or self.variant is not _MULTIPLICATIVE:
             return None
         if self.scale >= 1.0:
             return "scale >= 1: mechanism mean is infinite"
@@ -236,11 +244,11 @@ class MechanismSpec:
 
 def make_laplace_mechanism(privacy: PrivacyParams) -> MechanismSpec:
     """Plain additive mechanism with the tight scale b = sensitivity/epsilon."""
-    return MechanismSpec(Variant.PLAIN, privacy, privacy.scale)
+    return MechanismSpec(_PLAIN, privacy, privacy.scale)
 
 
 def make_postprocessed_mechanism(privacy: PrivacyParams, pp: PostProcessor) -> MechanismSpec:
-    return MechanismSpec(Variant.POST_PROCESSED, privacy, privacy.scale, postprocessor=pp)
+    return MechanismSpec(_POST_PROCESSED, privacy, privacy.scale, postprocessor=pp)
 
 
 def make_restricted_mechanism(privacy: PrivacyParams, fair_comparison: bool = False) -> MechanismSpec:
@@ -251,7 +259,7 @@ def make_restricted_mechanism(privacy: PrivacyParams, fair_comparison: bool = Fa
     is exactly epsilon, making bias comparisons against post-processing fair.
     """
     scale = 2.0 * privacy.scale if fair_comparison else privacy.scale
-    return MechanismSpec(Variant.RESTRICTED, privacy, scale)
+    return MechanismSpec(_RESTRICTED, privacy, scale)
 
 
 def make_multiplicative_mechanism(epsilon: float, k_bound: float) -> MechanismSpec:
@@ -261,7 +269,7 @@ def make_multiplicative_mechanism(epsilon: float, k_bound: float) -> MechanismSp
     the spec then warns, so divergence experiments can still run."""
     _require_positive("relative bound", k_bound)
     privacy = PrivacyParams(epsilon, k_bound)
-    return MechanismSpec(Variant.MULTIPLICATIVE, privacy, privacy.scale)
+    return MechanismSpec(_MULTIPLICATIVE, privacy, privacy.scale)
 
 
 def guaranteed_privacy_level(spec: MechanismSpec) -> float:
@@ -272,7 +280,7 @@ def guaranteed_privacy_level(spec: MechanismSpec) -> float:
     privacy, b = spec.privacy, spec.scale
     if privacy.sensitivity == 0.0:
         return 0.0
-    factor = 2.0 if spec.variant is Variant.RESTRICTED else 1.0
+    factor = 2.0 if spec.variant is _RESTRICTED else 1.0
     return factor * privacy.epsilon * (privacy.scale / b) if b > 0.0 else math.inf
 
 
@@ -290,11 +298,11 @@ def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, tuple[f
     Delta, Delta/b, or s + log(2 - e^(-s)) with s = Delta/b when restricted.
     Post-processed ones: ValueError.
     """
-    if spec.variant is Variant.POST_PROCESSED:
+    if spec.variant is _POST_PROCESSED:
         raise ValueError("post-processed mechanisms have no closed-form density to certify")
     b, delta = spec.scale, spec.privacy.sensitivity
     _require_positive("scale", b)
-    restricted = spec.variant is Variant.RESTRICTED
+    restricted = spec.variant is _RESTRICTED
 
     def log_density(q: float) -> Callable[[float], float]:
         # expm1 keeps the offset exact for small q/b, where 1 - F(0) is near 1/2.
@@ -305,12 +313,13 @@ def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, tuple[f
 
 
 def _mass_below_zero(base: LaplaceDist) -> float:
-    """F(0), the base mass that restriction removes.  The restricted law is
-    defined for a nonnegative true value: at a location below 0, 1 - F(0)
-    cancels (it is 0.0 at -40), so such a location is a ValueError."""
+    """F(0) = exp(-q/b)/2, the base mass that restriction removes, with the
+    bits of :func:`laplace_cdf` at 0.  The restricted law is defined for a
+    nonnegative true value: at a location below 0, 1 - F(0) cancels (it is
+    0.0 at -40), so such a location is a ValueError."""
     if base.location < 0:
         raise ValueError(f"restricted law needs a location >= 0, got {base.location}")
-    return laplace_cdf(base, 0.0)
+    return 0.5 * float(np.exp(-base.location / base.scale))
 
 
 def sample_restricted_rejection(base: LaplaceDist, rng: RngState,
@@ -324,7 +333,7 @@ def sample_restricted_rejection(base: LaplaceDist, rng: RngState,
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     for attempt in range(1, max_attempts + 1):
-        value = sample_laplace(base, rng)
+        value = _scalar_quantile(base.location, base.scale, rng.uniform())
         if value >= 0.0:
             return (value, attempt) if return_attempts else value
     raise RuntimeError("rejection budget exceeded")
@@ -336,12 +345,14 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 def restricted_quantile(base: LaplaceDist, u):
     """Generalized inverse of the restricted cdf at u in (0, 1): the base
-    quantile at F(0) + u*(1 - F(0))."""
+    quantile at F(0) + u*(1 - F(0)), clamped at 0, since log(2 F(0)) need not
+    round-trip -q/b and at u near 0 the quantile fell a few ulps below 0."""
     mass_below_zero = _mass_below_zero(base)
     p = mass_below_zero + u * (1.0 - mass_below_zero)
     # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
     p = min(p, _BELOW_ONE) if isinstance(p, float) else np.minimum(p, _BELOW_ONE, out=p)
-    return laplace_quantile(base, p)
+    value = np.maximum(laplace_quantile(base, p), 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None = None):
@@ -360,42 +371,39 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
     A batch is drawn in place, ``_BLOCK`` draws at a time, into its one
     output array.  Each block's uniforms are written into its slice of the
     output, and the variant's transform runs over that slice with one
-    scratch block: the Laplace quantile, after restriction's base
-    probability F(0) + u(1 - F(0)) capped below 1, followed by exp and the
-    product with q (multiplicative) or the post-processor.  Every step is
-    elementwise and the uniforms come from the stream in order, so the batch
-    equals the public per-array functions run over all its uniforms at once,
-    bit for bit, and leaves the stream where they do.  Without noise (scale
-    0) no uniform is drawn.
+    scratch block: restriction's base probability F(0) + u(1 - F(0)) capped
+    below 1, the Laplace quantile, then restriction's clamp at 0, or exp and
+    the product with q (multiplicative), or the post-processor.  Every step
+    is elementwise and the uniforms come from the stream in order, so the
+    batch equals the public per-array functions run over all its uniforms
+    at once, bit for bit, and leaves the stream where they do.  A scalar
+    draw takes the same steps on one uniform in Python floats, straight from
+    (q, b, u).  Without noise (scale 0) no uniform is drawn.
     """
     _require_nonnegative("query value", q)
-    multiplicative = spec.variant is Variant.MULTIPLICATIVE
+    variant, b, post = spec.variant, spec.scale, spec.postprocessor
+    multiplicative = variant is _MULTIPLICATIVE
     if multiplicative and q == 0.0:
         raise ValueError("query must be strictly positive for the multiplicative mechanism")
-    if size is not None:
-        return _sample_batch(spec, q, rng, size)
-    if multiplicative:
-        noise = sample_laplace(LaplaceDist(0.0, spec.scale), rng)
-        return float(q) * float(np.exp(noise))
-    if spec.scale == 0.0:
-        value = float(q)
-    elif spec.variant is Variant.RESTRICTED:
-        return sample_restricted_inverse(LaplaceDist(q, spec.scale), rng)
-    else:
-        value = sample_laplace(LaplaceDist(q, spec.scale), rng)
-    if spec.postprocessor is not None:
-        return apply_postprocessor(spec.postprocessor, value)
-    return value
-
-
-def _sample_batch(spec: MechanismSpec, q: float, rng: RngState, size: int) -> np.ndarray:
+    if size is None:
+        if multiplicative:
+            _require_positive("scale", b)
+            return float(q) * float(np.exp(_scalar_quantile(0.0, b, rng.uniform())))
+        if b == 0.0:
+            value = float(q)
+        elif variant is _RESTRICTED:
+            mass = 0.5 * float(np.exp(-q / b))
+            value = _scalar_quantile(q, b, min(mass + rng.uniform() * (1.0 - mass), _BELOW_ONE))
+            return 0.0 if value <= 0.0 else value
+        else:
+            value = _scalar_quantile(q, b, rng.uniform())
+        return value if post is None else apply_postprocessor(post, value)
     out = np.empty(size)
-    multiplicative = spec.variant is Variant.MULTIPLICATIVE
-    if spec.scale == 0.0 and not multiplicative:
+    if b == 0.0 and not multiplicative:
         out.fill(float(q))
-        return out if spec.postprocessor is None else _postprocess_in_place(spec.postprocessor, out)
-    dist = LaplaceDist(0.0 if multiplicative else q, spec.scale)
-    mass_below_zero = _mass_below_zero(dist) if spec.variant is Variant.RESTRICTED else None
+        return out if post is None else _postprocess_in_place(post, out)
+    dist = LaplaceDist(0.0 if multiplicative else q, b)
+    mass_below_zero = _mass_below_zero(dist) if variant is _RESTRICTED else None
     scratch = np.empty(min(size, _BLOCK))
     for start in range(0, size, _BLOCK):
         block = out[start:start + _BLOCK]
@@ -406,8 +414,10 @@ def _sample_batch(spec: MechanismSpec, q: float, rng: RngState, size: int) -> np
             np.multiply(block, 1.0 - mass_below_zero, out=block)
             np.minimum(np.add(mass_below_zero, block, out=block), _BELOW_ONE, out=block)
         _quantile_in_place(dist, block, scratch[:block.size])
-        if multiplicative:
+        if mass_below_zero is not None:
+            np.maximum(block, 0.0, out=block)
+        elif multiplicative:
             np.multiply(np.exp(block, out=block), q, out=block)
-        elif spec.postprocessor is not None:
-            _postprocess_in_place(spec.postprocessor, block)
+        elif post is not None:
+            _postprocess_in_place(post, block)
     return out

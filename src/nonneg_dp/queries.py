@@ -86,7 +86,8 @@ def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:
     """Evaluate the statistic; nonnegative whenever the lower bound is >= 0.
     A count below its declared ``count_floor`` is a ValueError."""
     if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
-        count = sum(1 for r in d.records if r >= qd.threshold)
+        threshold = qd.threshold
+        count = len([r for r in d.records if r >= threshold])
         if qd.count_floor is not None and count < qd.count_floor:
             raise ValueError(f"count {count} is below its declared count_floor {qd.count_floor}")
         return float(count)

@@ -46,10 +46,12 @@ class _FixedUniform:
     def __init__(self, *values):
         self.values = list(values)
 
-    def uniform(self, size=None):
+    def uniform(self, size=None, out=None):
         if size is None:
             return self.values.pop(0)
-        out = np.array(self.values[:size])
+        if out is None:
+            out = np.empty(size)
+        out[...] = self.values[:size]
         del self.values[:size]
         return out
 
@@ -78,6 +80,10 @@ class TestPostProcessor:
     def test_rejects_negative_translation(self):
         with pytest.raises(ValueError):
             PostProcessor.translated_ramp(-0.5)
+
+    def test_ramp_is_one_shared_translated_ramp_at_zero(self):
+        assert PostProcessor.ramp() == PostProcessor.translated_ramp(0.0)
+        assert PostProcessor.ramp() is PostProcessor.ramp()
 
     def test_custom_square_integrable_accepted(self):
         pp = PostProcessor.custom(lambda x: x * x, scale=1.0)
@@ -406,6 +412,41 @@ class TestRestrictedSamplers:
                     for _ in range(10**5)]
         assert abs(np.mean(attempts) - 2.0) < 0.05
 
+    # At this (q, b), log(2 F(0)) does not round-trip -q/b: unclamped, the
+    # quantile at u = _TINY and at u = 1e-300 was -1.8189894035458565e-12.
+    # RngState returns _TINY where PCG64 gives an exact 0 (2**-53 per draw).
+    NEGATIVE_CASE = (5117.837244261334, 8224.514030516992)
+
+    def test_draw_at_the_smallest_uniform_is_zero_not_negative(self):
+        q, b = self.NEGATIVE_CASE
+        spec = make_restricted_mechanism(PrivacyParams(1.0, b))
+        assert spec.scale == b
+        for value in (sample_mechanism(spec, q, _FixedUniform(_TINY)),
+                      sample_restricted_inverse(LaplaceDist(q, b), _FixedUniform(_TINY)),
+                      restricted_quantile(LaplaceDist(q, b), 1e-300)):
+            assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
+        np.testing.assert_array_equal(restricted_quantile(LaplaceDist(q, b), np.array([_TINY, 1e-300])),
+                                      [0.0, 0.0])
+        np.testing.assert_array_equal(sample_mechanism(spec, q, _FixedUniform(_TINY, 1e-300), size=2),
+                                      [0.0, 0.0])
+
+    def test_sweep_at_the_smallest_uniform_is_nonnegative(self):
+        gen = np.random.default_rng(2027)
+        bs = 10.0 ** gen.uniform(-5.0, 5.0, 10**4)
+        qs = gen.uniform(0.0, 3.0, 10**4) * bs
+        unclamped, draws, arrays = [], [], []
+        for q, b in zip(qs.tolist(), bs.tolist()):
+            mass_below_zero = laplace_cdf(LaplaceDist(q, b), 0.0)
+            unclamped.append(laplace_quantile(LaplaceDist(q, b),
+                                              mass_below_zero + _TINY * (1.0 - mass_below_zero)))
+            draws.append(sample_mechanism(make_restricted_mechanism(PrivacyParams(1.0, b)), q,
+                                          _FixedUniform(_TINY)))
+            arrays.append(restricted_quantile(LaplaceDist(q, b), np.array([_TINY]))[0])
+        # The sweep reaches the rounding: without the clamp, about 9 % of it is below 0.
+        assert sum(value < 0.0 for value in unclamped) > 100
+        assert min(draws) >= 0.0 and min(arrays) >= 0.0
+        np.testing.assert_array_equal(draws, arrays)
+
     def test_rejection_budget_exhaustion(self):
         # far-negative location makes acceptance astronomically unlikely
         with pytest.raises(RuntimeError, match="rejection budget exceeded"):
@@ -446,6 +487,21 @@ class TestSampleMechanism:
             spec = make_multiplicative_mechanism(1.0, 0.5)
         with pytest.raises(ValueError, match="strictly positive"):
             sample_mechanism(spec, 0.0, RngState(0))
+
+    def test_noiseless_multiplicative_draw_raises_before_drawing(self):
+        with pytest.warns(UserWarning, match="degenerate"):
+            spec = replace(make_multiplicative_mechanism(1.0, 0.3), scale=0.0)
+        stream = _FixedUniform(0.5)
+        with pytest.raises(ValueError, match=r"^scale must be finite and > 0, got 0\.0$"):
+            sample_mechanism(spec, 2.0, stream)
+        assert stream.values == [0.5]
+
+    def test_noiseless_restricted_draw_is_q_without_drawing(self):
+        with pytest.warns(UserWarning, match="degenerate"):
+            spec = make_restricted_mechanism(PrivacyParams(1.0, 0.0))
+        stream = _FixedUniform(0.5)
+        assert sample_mechanism(spec, 2.5, stream) == 2.5
+        assert stream.values == [0.5]
 
     def test_rejects_negative_query(self):
         spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
