@@ -17,7 +17,14 @@ The restricted law is implemented both by rejection and by inverse transform;
 the two are distributionally identical, and the inverse form consumes exactly
 one uniform per draw, which the coupling diagnostics in
 :mod:`nonneg_dp.verify` exploit; its quantile is clamped at 0.  A scalar draw
-is computed straight from (q, b, u).
+is computed straight from (q, b, u); a multiplicative draw is clamped at
+5e-324, so it stays positive.
+
+``PrivacyParams`` and ``MechanismSpec``, made for every release, are frozen
+dataclasses built in one step: a hand-written ``__init__`` checks its
+arguments and stores every field with one ``__dict__`` update, and
+``dataclasses.replace`` goes through it, so it re-runs the checks and a
+replaced spec warns again.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrivacyParams:
     """Privacy budget epsilon and query sensitivity; implies scale = sensitivity/epsilon.
 
@@ -72,9 +79,11 @@ class PrivacyParams:
     epsilon: float
     sensitivity: float
 
-    def __post_init__(self):
-        _require_positive("epsilon", self.epsilon)
-        _require_nonnegative("sensitivity", self.sensitivity)
+    def __init__(self, epsilon: float, sensitivity: float):
+        _require_positive("epsilon", epsilon)
+        _require_nonnegative("sensitivity", sensitivity)
+        # Frozen: one __dict__ update stores the fields past the blocked __setattr__.
+        self.__dict__.update(epsilon=epsilon, sensitivity=sensitivity)
 
     @property
     def scale(self) -> float:
@@ -199,10 +208,12 @@ class Variant(enum.Enum):
 # Bound once, in definition order: a lookup such as Variant.RESTRICTED costs ten identity tests.
 _PLAIN, _POST_PROCESSED, _RESTRICTED, _MULTIPLICATIVE = Variant
 _SMALLEST_NORMAL = sys.float_info.min
+# 5e-324: a multiplicative draw is clamped here, so it never underflows to 0 for a q > 0.
+_SMALLEST_POSITIVE = math.ulp(0.0)
 _RAMP = PostProcessor.translated_ramp(0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MechanismSpec:
     """One mechanism family at the Laplace scale ``scale`` it uses, parameterized
     by the true query value at sampling time.  Its privacy level
@@ -217,15 +228,19 @@ class MechanismSpec:
     scale: float
     postprocessor: PostProcessor | None = None
 
-    def __post_init__(self):
-        scale, privacy_scale = self.scale, self.privacy.scale
+    def __init__(self, variant: Variant, privacy: PrivacyParams, scale: float,
+                 postprocessor: PostProcessor | None = None):
+        privacy_scale = privacy.scale
         _require_nonnegative("scale", scale)
         if 0.0 < scale < _SMALLEST_NORMAL or 0.0 < privacy_scale < _SMALLEST_NORMAL:
             name, b = (("scale", scale) if 0.0 < scale < _SMALLEST_NORMAL
                        else ("sensitivity/epsilon", privacy_scale))
             raise ValueError(f"{name} must be 0 or at least {_SMALLEST_NORMAL}, got {b}")
-        if (self.postprocessor is None) == (self.variant is _POST_PROCESSED):
+        if (postprocessor is None) == (variant is _POST_PROCESSED):
             raise ValueError("a spec has a post-processor exactly when it is post-processed")
+        # Frozen: one __dict__ update stores the fields past the blocked __setattr__.
+        self.__dict__.update(variant=variant, privacy=privacy, scale=scale,
+                             postprocessor=postprocessor)
         if (warning := self.warning) is not None:
             warnings.warn(warning)
 
@@ -346,7 +361,16 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 def restricted_quantile(base: LaplaceDist, u):
     """Generalized inverse of the restricted cdf at u in (0, 1): the base
     quantile at F(0) + u*(1 - F(0)), clamped at 0, since log(2 F(0)) need not
-    round-trip -q/b and at u near 0 the quantile fell a few ulps below 0."""
+    round-trip -q/b and at u near 0 the quantile fell a few ulps below 0.
+    A u outside (0, 1), nan included, is ValueError("probability out of range")."""
+    if isinstance(u, float):
+        in_range = 0.0 < u < 1.0
+    else:
+        u = np.asarray(u, dtype=float)
+        # One min and one max reduction, no boolean array; nan fails both comparisons.
+        in_range = u.size == 0 or (0.0 < u.min() and u.max() < 1.0)
+    if not in_range:
+        raise ValueError("probability out of range")
     mass_below_zero = _mass_below_zero(base)
     p = mass_below_zero + u * (1.0 - mass_below_zero)
     # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
@@ -372,8 +396,9 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
     output array.  Each block's uniforms are written into its slice of the
     output, and the variant's transform runs over that slice with one
     scratch block: restriction's base probability F(0) + u(1 - F(0)) capped
-    below 1, the Laplace quantile, then restriction's clamp at 0, or exp and
-    the product with q (multiplicative), or the post-processor.  Every step
+    below 1, the Laplace quantile, then restriction's clamp at 0, or exp,
+    the product with q and a clamp at 5e-324, which keeps a multiplicative
+    output positive, or the post-processor.  Every step
     is elementwise and the uniforms come from the stream in order, so the
     batch equals the public per-array functions run over all its uniforms
     at once, bit for bit, and leaves the stream where they do.  A scalar
@@ -388,7 +413,8 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
     if size is None:
         if multiplicative:
             _require_positive("scale", b)
-            return float(q) * float(np.exp(_scalar_quantile(0.0, b, rng.uniform())))
+            value = float(q) * float(np.exp(_scalar_quantile(0.0, b, rng.uniform())))
+            return value if value > 0.0 else _SMALLEST_POSITIVE
         if b == 0.0:
             value = float(q)
         elif variant is _RESTRICTED:
@@ -418,6 +444,7 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
             np.maximum(block, 0.0, out=block)
         elif multiplicative:
             np.multiply(np.exp(block, out=block), q, out=block)
+            np.maximum(block, _SMALLEST_POSITIVE, out=block)
         elif post is not None:
             _postprocess_in_place(post, block)
     return out

@@ -38,6 +38,10 @@ class QueryKind(enum.Enum):
     BOUNDED_MEAN = "mean"
 
 
+# Bound once, in definition order: a lookup such as QueryKind.BOUNDED_SUM costs ten identity tests.
+_COUNT, _SUM, _MEAN = QueryKind
+
+
 @dataclass(frozen=True)
 class QueryDescriptor:
     """A query statistic plus the parameters needed to evaluate it.
@@ -85,18 +89,20 @@ class Dataset:
 def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:
     """Evaluate the statistic; nonnegative whenever the lower bound is >= 0.
     A count below its declared ``count_floor`` is a ValueError."""
-    if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
+    if qd.kind is _COUNT:
         threshold = qd.threshold
         count = len([r for r in d.records if r >= threshold])
         if qd.count_floor is not None and count < qd.count_floor:
             raise ValueError(f"count {count} is below its declared count_floor {qd.count_floor}")
         return float(count)
-    if len(d) == 0:
+    records = d.records
+    n = len(records)
+    if n == 0:
         raise ValueError("undefined query: mean/sum of empty dataset")
-    total = math.fsum(d.records)
-    if qd.kind is QueryKind.BOUNDED_SUM:
+    total = math.fsum(records)
+    if qd.kind is _SUM:
         return total
-    return total / len(d)
+    return total / n
 
 
 def _checked_bounds(bounds: tuple[float, float], n: int) -> tuple[float, float]:
@@ -115,9 +121,9 @@ def sensitivity(qd: QueryDescriptor, bounds: tuple[float, float], n: int) -> flo
     count -> 1, bounded sum -> (u - l), bounded mean -> (u - l)/n.
     """
     lower, upper = _checked_bounds(bounds, n)
-    if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
+    if qd.kind is _COUNT:
         return 1.0
-    if qd.kind is QueryKind.BOUNDED_SUM:
+    if qd.kind is _SUM:
         return upper - lower
     return (upper - lower) / n
 
@@ -133,7 +139,7 @@ def relative_bound_K(qd: QueryDescriptor, bounds: tuple[float, float], n: int) -
     Infinity is returned in-band, never raised.
     """
     lower, upper = _checked_bounds(bounds, n)
-    if qd.kind is QueryKind.COUNT_ABOVE_THRESHOLD:
+    if qd.kind is _COUNT:
         if qd.count_floor is None:
             return math.inf
         return 1.0 / qd.count_floor

@@ -381,7 +381,12 @@ class TestRestrictedSamplers:
         assert np.all(draws >= 0)
 
     def test_inverse_survives_uniform_rounding_to_one(self):
-        value = sample_restricted_inverse(LaplaceDist(0.0, 1.0), _FixedUniform(1.0 - 2**-54))
+        # The largest uniform the stream yields, 1 - 2**-53, whose base
+        # probability 1/2 + u/2 rounds up to 1.0.  (1.0 - 2**-54 is 1.0 itself,
+        # which is out of range.)
+        u = math.nextafter(1.0, 0.0)
+        assert 0.5 + u * 0.5 == 1.0
+        value = sample_restricted_inverse(LaplaceDist(0.0, 1.0), _FixedUniform(u))
         assert math.isfinite(value)
 
     def test_rejection_outputs_nonnegative(self):
@@ -447,6 +452,25 @@ class TestRestrictedSamplers:
         assert min(draws) >= 0.0 and min(arrays) >= 0.0
         np.testing.assert_array_equal(draws, arrays)
 
+    @pytest.mark.parametrize("u", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_quantile_rejects_a_probability_outside_the_unit_interval(self, u):
+        # Unchecked, 1.5 and 1.0 gave 37.04 (the base probability is capped
+        # below 1) and 0.0 gave 0.0.  The range is checked before the
+        # location, which is out of range at -1.
+        for base in (LaplaceDist(1.0, 1.0), LaplaceDist(-1.0, 1.0)):
+            for value in (u, np.float64(u), np.array(u), np.array([0.5, u, 0.25])):
+                with pytest.raises(ValueError, match="^probability out of range$"):
+                    restricted_quantile(base, value)
+
+    def test_quantile_rejects_a_grid_holding_one_zero(self):
+        grid = np.arange(1, 2001, dtype=float) / 2001
+        assert restricted_quantile(LaplaceDist(1.0, 1.0), grid).shape == grid.shape
+        grid[1000] = 0.0
+        before = grid.copy()
+        with pytest.raises(ValueError, match="^probability out of range$"):
+            restricted_quantile(LaplaceDist(1.0, 1.0), grid)
+        np.testing.assert_array_equal(grid, before)
+
     def test_rejection_budget_exhaustion(self):
         # far-negative location makes acceptance astronomically unlikely
         with pytest.raises(RuntimeError, match="rejection budget exceeded"):
@@ -481,6 +505,18 @@ class TestSampleMechanism:
             spec = make_multiplicative_mechanism(1.0, 0.5)
         draws = sample_mechanism(spec, 0.25, RngState(11), size=10**6)
         assert np.all(draws > 0)
+
+    def test_multiplicative_draw_that_underflows_is_the_smallest_positive_double(self):
+        # q*exp(b log(2u)) is exactly 0.0 here: a positive query released as 0.
+        q, b, u = 1e-300, 0.49, 1e-300
+        assert q * math.exp(b * math.log(2.0 * u)) == 0.0
+        spec = make_multiplicative_mechanism(1.0, b)
+        assert spec.scale == b
+        scalars = [sample_mechanism(spec, q, _FixedUniform(v)) for v in (u, 0.5, _TINY, u)]
+        assert all(type(value) is float for value in scalars)
+        assert scalars == [5e-324, q, 5e-324, 5e-324]
+        batch = sample_mechanism(spec, q, _FixedUniform(u, 0.5, _TINY, u), size=4)
+        np.testing.assert_array_equal(batch, scalars)
 
     def test_multiplicative_rejects_zero_query(self):
         with pytest.warns(UserWarning):
