@@ -207,7 +207,7 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     if spec.variant is Variant.RESTRICTED:
         # The restricted density f(x)/(1 - F(0)), zero below 0, with 1 - F(0) taken once.
         base = LaplaceDist(q, b)
-        normalizer = 1.0 - _mass_below_zero(base)
+        normalizer = 1.0 - _mass_below_zero(q, b)
 
         def excess(t: float) -> float:
             x = q + b * t

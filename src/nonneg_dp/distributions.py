@@ -12,16 +12,14 @@ Laplace noise, and deterministic inverse-transform sampling.
 Sampling draws exactly one uniform variate per Laplace draw.  That accounting
 is load-bearing: the quantile-coupling construction in :mod:`nonneg_dp.verify`
 relies on the sample being a deterministic function of a single uniform.
+The samplers, the plain mechanism's included, are in :mod:`nonneg_dp.mechanisms`.
 
 The pdf and cdf take one point and return a Python ``float``.  The quantile
-takes a float (Python or numpy scalar) or an array.  A float skips numpy's
-array machinery but applies the same ``np.log``, so a scalar result is a
-Python ``float`` equal bit for bit to the array result at the same point: a
-scalar draw equals the batched draw at the same uniform.  The scalar
-samplers apply that float form, ``_scalar_quantile``, to each uniform
-directly.  The batched quantile takes one log per draw and is branch-free;
-the public one never writes into its input, and the batched sampler runs
-the same steps in place over its output blocks.
+takes a float (Python or numpy scalar) or an array in (0, 1), checked by
+``_quantile``, which the restricted quantile shares.  Its float form
+``_scalar_quantile`` and branch-free block form ``_quantile_in_place`` (one
+log per point) apply the same ``np.log`` and agree bit for bit; samplers
+call them directly.  The public quantile never writes into its input.
 
 ``_integrate`` is the package's one quadrature; it imports :mod:`nonneg_dp.quadpack`
 when it runs.
@@ -68,7 +66,6 @@ __all__ = [
     "laplace_pdf",
     "laplace_cdf",
     "laplace_quantile",
-    "sample_laplace",
     "log_laplace_mgf",
 ]
 
@@ -121,8 +118,7 @@ class RngState:
     def uniform(self, size: int | None = None, out: np.ndarray | None = None):
         """One uniform draw in (0, 1), or an array of ``size`` draws, written
         into ``out`` (of ``size`` elements) when it is given."""
-        # Generator.random() yields [0, 1); nudge an exact 0 to the smallest
-        # positive double rather than consuming a second draw.
+        # Generator.random() is in [0, 1): an exact 0 becomes _TINY, not a second draw.
         if size is None:
             u = self._gen.random()
             return float(u) if u > 0.0 else _TINY
@@ -147,13 +143,22 @@ def laplace_cdf(dist: LaplaceDist, x: float) -> float:
 
 def laplace_quantile(dist: LaplaceDist, p):
     """Closed-form inverse cdf, valid for p in the open interval (0, 1)."""
-    if isinstance(p, float) and 0.0 < p < 1.0:
-        return _scalar_quantile(dist.location, dist.scale, p)
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("probability out of range")
-    out = _quantile_in_place(dist, arr.copy(), np.empty(arr.shape))
-    return out if arr.ndim else float(out)
+    return _quantile(_scalar_quantile, _quantile_in_place, dist.location, dist.scale, p)
+
+
+def _quantile(scalar: Callable, in_place: Callable, loc: float, b: float, p):
+    """``scalar(loc, b, p)`` at a float p, else ``in_place`` over a float array
+    copy of p, once every p is in (0, 1), an array by one min and one max
+    reduction, which nan fails; else ValueError("probability out of range")."""
+    if isinstance(p, float):
+        if 0.0 < p < 1.0:
+            return scalar(loc, b, p)
+    else:
+        p = np.array(p, dtype=float)
+        if p.size == 0 or (0.0 < p.min() and p.max() < 1.0):
+            out = in_place(loc, b, p, np.empty(p.shape))
+            return out if out.ndim else float(out)
+    raise ValueError("probability out of range")
 
 
 def _scalar_quantile(loc: float, b: float, p: float) -> float:
@@ -163,11 +168,10 @@ def _scalar_quantile(loc: float, b: float, p: float) -> float:
     return float(loc - b * np.log(2.0 * (1.0 - p)))
 
 
-def _quantile_in_place(dist: LaplaceDist, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite the float array ``p``, all in (0, 1), with the quantile of
-    ``dist`` at each point, using ``scratch`` (same shape) for the log term;
-    returns ``p``.  Nothing is checked or allocated: the caller vouches for
-    the range.
+def _quantile_in_place(loc: float, b: float, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``p``, all in (0, 1), with the Laplace
+    (loc, b) quantile at each point, using ``scratch`` (same shape) for the
+    log term; returns ``p``.  Nothing is checked or allocated.
 
     It computes loc - copysign(b, p - 0.5) log(2 min(p, 1 - p)), one log per
     point, which equals both branches of :func:`_scalar_quantile` bit for
@@ -175,14 +179,9 @@ def _quantile_in_place(dist: LaplaceDist, p: np.ndarray, scratch: np.ndarray) ->
     """
     np.subtract(1.0, p, out=scratch)
     np.log(np.multiply(np.minimum(p, scratch, out=scratch), 2.0, out=scratch), out=scratch)
-    np.copysign(dist.scale, np.subtract(p, 0.5, out=p), out=p)
+    np.copysign(b, np.subtract(p, 0.5, out=p), out=p)
     np.multiply(p, scratch, out=p)
-    return np.subtract(dist.location, p, out=p)
-
-
-def sample_laplace(dist: LaplaceDist, rng: RngState, size: int | None = None):
-    """Inverse-transform sample; consumes exactly one uniform per draw."""
-    return laplace_quantile(dist, rng.uniform(size))
+    return np.subtract(loc, p, out=p)
 
 
 def log_laplace_mgf(b: float, k: float) -> float:

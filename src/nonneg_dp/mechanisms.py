@@ -16,15 +16,9 @@ privacy, all built on Laplace noise of scale b:
 The restricted law is implemented both by rejection and by inverse transform;
 the two are distributionally identical, and the inverse form consumes exactly
 one uniform per draw, which the coupling diagnostics in
-:mod:`nonneg_dp.verify` exploit; its quantile is clamped at 0.  A scalar draw
-is computed straight from (q, b, u); a multiplicative draw is clamped at
-5e-324, so it stays positive.
-
-``PrivacyParams`` and ``MechanismSpec``, made for every release, are frozen
-dataclasses built in one step: a hand-written ``__init__`` checks its
-arguments and stores every field with one ``__dict__`` update, and
-``dataclasses.replace`` goes through it, so it re-runs the checks and a
-replaced spec warns again.
+:mod:`nonneg_dp.verify` exploit.  Its transform is written once for a float
+and once for an array block, and every restricted path calls one of them.
+A multiplicative draw is clamped at 5e-324, so it stays positive.
 """
 
 from __future__ import annotations
@@ -36,18 +30,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .distributions import (
-    LaplaceDist,
-    RngState,
-    _even_grid,
-    _integrate,
-    _quantile_in_place,
-    _require_nonnegative,
-    _require_positive,
-    _scalar_quantile,
-    laplace_quantile,
-    np,
-)
+from .distributions import (LaplaceDist, RngState, _even_grid, _integrate, _quantile, _quantile_in_place,
+                            _require_nonnegative, _require_positive, _scalar_quantile, np)
 
 __all__ = [
     "PrivacyParams",
@@ -327,24 +311,20 @@ def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, tuple[f
     return log_density(0.0), log_density(delta), (0.0, delta)
 
 
-def _mass_below_zero(base: LaplaceDist) -> float:
-    """F(0) = exp(-q/b)/2, the base mass that restriction removes, with the
-    bits of :func:`laplace_cdf` at 0.  The restricted law is defined for a
-    nonnegative true value: at a location below 0, 1 - F(0) cancels (it is
-    0.0 at -40), so such a location is a ValueError."""
-    if base.location < 0:
-        raise ValueError(f"restricted law needs a location >= 0, got {base.location}")
-    return 0.5 * float(np.exp(-base.location / base.scale))
+def _mass_below_zero(q: float, b: float) -> float:
+    """F(0) = exp(-q/b)/2, the Laplace (q, b) mass that restriction removes,
+    with the bits of :func:`laplace_cdf` at 0.  Below 0 the restricted law's
+    1 - F(0) cancels (0.0 at q = -40), so a location q < 0 is a ValueError."""
+    if q < 0:
+        raise ValueError(f"restricted law needs a location >= 0, got {q}")
+    return 0.5 * float(np.exp(-q / b))
 
 
-def sample_restricted_rejection(base: LaplaceDist, rng: RngState,
-                                max_attempts: int = 64,
+def sample_restricted_rejection(base: LaplaceDist, rng: RngState, max_attempts: int = 64,
                                 return_attempts: bool = False):
-    """Draw from the base law until a nonnegative value appears.
-
-    For location >= 0 each attempt succeeds with probability >= 1/2, so the
-    budget is exhausted with probability at most 2**-max_attempts.
-    """
+    """Draw from the base law until a nonnegative value appears.  For location
+    >= 0 each attempt succeeds with probability >= 1/2, so the budget is
+    exhausted with probability at most 2**-max_attempts."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     for attempt in range(1, max_attempts + 1):
@@ -358,25 +338,29 @@ def sample_restricted_rejection(base: LaplaceDist, rng: RngState,
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
+def _scalar_restricted_quantile(q: float, b: float, u: float) -> float:
+    """Restricted (q, b) quantile at one u in (0, 1), unchecked: the Laplace
+    quantile at F(0) + u(1 - F(0)), capped below 1 where the sum rounds up to
+    1.0, then clamped at 0 as np.maximum clamps, since log(2 F(0)) need not
+    round-trip -q/b and at u near 0 the quantile fell a few ulps below 0."""
+    mass = _mass_below_zero(q, b)
+    value = _scalar_quantile(q, b, min(mass + u * (1.0 - mass), _BELOW_ONE))
+    return 0.0 if value <= 0.0 else value
+
+
+def _restricted_quantile_in_place(q: float, b: float, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The steps of :func:`_scalar_restricted_quantile` over the float array
+    ``u``, in place and bit for bit, with ``scratch`` for the log; returns ``u``."""
+    mass = _mass_below_zero(q, b)
+    np.minimum(np.add(mass, np.multiply(u, 1.0 - mass, out=u), out=u), _BELOW_ONE, out=u)
+    return np.maximum(_quantile_in_place(q, b, u, scratch), 0.0, out=u)
+
+
 def restricted_quantile(base: LaplaceDist, u):
-    """Generalized inverse of the restricted cdf at u in (0, 1): the base
-    quantile at F(0) + u*(1 - F(0)), clamped at 0, since log(2 F(0)) need not
-    round-trip -q/b and at u near 0 the quantile fell a few ulps below 0.
-    A u outside (0, 1), nan included, is ValueError("probability out of range")."""
-    if isinstance(u, float):
-        in_range = 0.0 < u < 1.0
-    else:
-        u = np.asarray(u, dtype=float)
-        # One min and one max reduction, no boolean array; nan fails both comparisons.
-        in_range = u.size == 0 or (0.0 < u.min() and u.max() < 1.0)
-    if not in_range:
-        raise ValueError("probability out of range")
-    mass_below_zero = _mass_below_zero(base)
-    p = mass_below_zero + u * (1.0 - mass_below_zero)
-    # u < 1 keeps p < 1 exactly, but the float sum can round up to 1.0.
-    p = min(p, _BELOW_ONE) if isinstance(p, float) else np.minimum(p, _BELOW_ONE, out=p)
-    value = np.maximum(laplace_quantile(base, p), 0.0)
-    return float(value) if value.ndim == 0 else value
+    """Generalized inverse of the restricted cdf at u in (0, 1), a float or an
+    array, range-checked as :func:`laplace_quantile` is, before the location."""
+    return _quantile(_scalar_restricted_quantile, _restricted_quantile_in_place,
+                     base.location, base.scale, u)
 
 
 def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None = None):
@@ -384,8 +368,7 @@ def sample_restricted_inverse(base: LaplaceDist, rng: RngState, size: int | None
     return restricted_quantile(base, rng.uniform(size))
 
 
-# Draws per block of a batch: 128 KiB of the output and of the one scratch
-# buffer, which stay in cache.
+# Draws per block of a batch: 128 KiB of output and of scratch, which stay in cache.
 _BLOCK = 2**14
 
 
@@ -393,34 +376,30 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
     """Draw one output (or an array of ``size`` outputs) of the mechanism at true value q.
 
     A batch is drawn in place, ``_BLOCK`` draws at a time, into its one
-    output array.  Each block's uniforms are written into its slice of the
-    output, and the variant's transform runs over that slice with one
-    scratch block: restriction's base probability F(0) + u(1 - F(0)) capped
-    below 1, the Laplace quantile, then restriction's clamp at 0, or exp,
-    the product with q and a clamp at 5e-324, which keeps a multiplicative
-    output positive, or the post-processor.  Every step
-    is elementwise and the uniforms come from the stream in order, so the
-    batch equals the public per-array functions run over all its uniforms
-    at once, bit for bit, and leaves the stream where they do.  A scalar
-    draw takes the same steps on one uniform in Python floats, straight from
-    (q, b, u).  Without noise (scale 0) no uniform is drawn.
+    output array: each block's uniforms go into its slice, where the
+    restricted or the Laplace quantile runs with one scratch block, then for
+    the multiplicative mechanism exp, the product with q and a clamp at
+    5e-324, or the post-processor.  Every step is elementwise and the
+    uniforms come from the stream in order, so the batch equals the public
+    per-array functions run over all its uniforms at once, bit for bit, and
+    leaves the stream where they do.  A scalar draw applies the float forms
+    of the same steps to one uniform.  Without noise (scale 0) no uniform is drawn.
     """
     _require_nonnegative("query value", q)
     variant, b, post = spec.variant, spec.scale, spec.postprocessor
     multiplicative = variant is _MULTIPLICATIVE
-    if multiplicative and q == 0.0:
-        raise ValueError("query must be strictly positive for the multiplicative mechanism")
+    if multiplicative:
+        if q == 0.0:
+            raise ValueError("query must be strictly positive for the multiplicative mechanism")
+        _require_positive("scale", b)
     if size is None:
         if multiplicative:
-            _require_positive("scale", b)
             value = float(q) * float(np.exp(_scalar_quantile(0.0, b, rng.uniform())))
             return value if value > 0.0 else _SMALLEST_POSITIVE
         if b == 0.0:
             value = float(q)
         elif variant is _RESTRICTED:
-            mass = 0.5 * float(np.exp(-q / b))
-            value = _scalar_quantile(q, b, min(mass + rng.uniform() * (1.0 - mass), _BELOW_ONE))
-            return 0.0 if value <= 0.0 else value
+            return _scalar_restricted_quantile(q, b, rng.uniform())
         else:
             value = _scalar_quantile(q, b, rng.uniform())
         return value if post is None else apply_postprocessor(post, value)
@@ -428,21 +407,13 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
     if b == 0.0 and not multiplicative:
         out.fill(float(q))
         return out if post is None else _postprocess_in_place(post, out)
-    dist = LaplaceDist(0.0 if multiplicative else q, b)
-    mass_below_zero = _mass_below_zero(dist) if variant is _RESTRICTED else None
+    quantile = _restricted_quantile_in_place if variant is _RESTRICTED else _quantile_in_place
     scratch = np.empty(min(size, _BLOCK))
     for start in range(0, size, _BLOCK):
         block = out[start:start + _BLOCK]
-        # Uniforms in (0, 1), and restricted probabilities in (0, _BELOW_ONE],
-        # are in the quantile's range.
-        rng.uniform(block.size, out=block)
-        if mass_below_zero is not None:
-            np.multiply(block, 1.0 - mass_below_zero, out=block)
-            np.minimum(np.add(mass_below_zero, block, out=block), _BELOW_ONE, out=block)
-        _quantile_in_place(dist, block, scratch[:block.size])
-        if mass_below_zero is not None:
-            np.maximum(block, 0.0, out=block)
-        elif multiplicative:
+        rng.uniform(block.size, out=block)   # in (0, 1), the quantiles' range
+        quantile(0.0 if multiplicative else q, b, block, scratch[:block.size])
+        if multiplicative:
             np.multiply(np.exp(block, out=block), q, out=block)
             np.maximum(block, _SMALLEST_POSITIVE, out=block)
         elif post is not None:

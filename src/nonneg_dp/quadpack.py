@@ -8,22 +8,8 @@ Fortran's order, with its decimal node constants and d1mach values, so
 ``qagp(f, a, b, points, ...)`` equals ``scipy.integrate.quad(f, a, b,
 points=points, ...)`` bit for bit (value, error estimate, status,
 evaluation count and interval lists), also when ``points`` is empty: quad
-runs dqagpe whenever it is given ``points``.
-
-Without them quad runs ``dqagse`` (QAGS).  It bisects alike, comparing
-interval widths where dqagpe counts bisection levels, but differs in three
-places even with no breakpoint:
-
-1. dqagse keeps bisecting when its first error estimate is "undetermined"
-   (equal to the integral of |f - mean f|) though within the requested
-   accuracy; dqagpe stops there.
-2. dqagse takes the accuracy its extrapolation must reach from the area
-   after the first bisection; dqagpe from the first estimate of the area.
-3. dqagse stops extrapolating once the error is at most that accuracy;
-   dqagpe once it is below it.
-
-For f = 1e-14 sin(50x) on [0, 1] dqagse bisects once (``last`` 2), while
-dqagpe stops after its first 21 evaluations (``last`` 1).
+runs dqagpe whenever it is given ``points``, and without them ``dqagse``
+(QAGS), whose stopping and extrapolation rules differ slightly.
 
 :func:`qagp` returns a :class:`Quadrature`.  Its ``ier`` is QUADPACK's
 status: 0 success, 1 the subdivision limit is reached, 2 roundoff prevents

@@ -99,7 +99,16 @@ def evaluate_query(qd: QueryDescriptor, d: Dataset) -> float:
     n = len(records)
     if n == 0:
         raise ValueError("undefined query: mean/sum of empty dataset")
-    total = math.fsum(records)
+    try:
+        total = math.fsum(records)
+    except OverflowError:
+        from fractions import Fraction
+        # A partial sum left the double range.  The exact sum, over 2^k >= 2n
+        # if it is past 2^1023, rounds once; times 2^k is exact, or inf.
+        exact = sum(map(Fraction, records))
+        scale = 2 ** (n.bit_length() + 1) if abs(exact) > 2 ** 1023 else 1
+        total = float(exact / scale)
+        return total * scale if qd.kind is _SUM else total / n * scale
     if qd.kind is _SUM:
         return total
     return total / n

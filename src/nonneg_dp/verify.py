@@ -165,27 +165,28 @@ def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
 
 
 def _truncated_exp_moment(b: float, radius: float) -> float:
-    """Quadrature of E[exp(noise)] for Laplace noise of scale b, truncated to
-    [-radius, radius]; ValueError once exp(radius) overflows."""
+    """E[exp(noise)] for Laplace noise of scale b truncated to [-T, T],
+    integrated in t = noise/b, where it is of order 1 at any b: e^(bt - |t|)/2
+    over [-T/b, T/b], broken at 0, each side cut where its integrand, if it
+    decays, falls below 1e-17 of its peak."""
+    reach, decayed = radius / b, math.log(1e17)
+    hi = min(reach, decayed / (1.0 - b)) if b < 1.0 else reach
     try:
-        return _integrate(lambda x: math.exp(x) * math.exp(-abs(x) / b) / (2.0 * b),
-                          -radius, radius, [0.0])
+        moment = _integrate(lambda t: math.exp(b * t - abs(t)) / 2.0,
+                            -min(reach, decayed / (1.0 + b)), hi, [0.0])
     except OverflowError:
         raise ValueError(f"truncated moment overflows at radius {radius:g}") from None
+    if moment == 0.0:
+        raise ValueError(f"truncated moment underflows at radius {radius:g}")
+    return moment
 
 
 def check_divergence_log_laplace(b: float, radii: Sequence[float]) -> DivergenceReport:
-    """Witness the finite/infinite dichotomy of E[exp(noise)] at scale b.
-
-    Computes the truncated moment (1/2b) * integral of exp(x)exp(-|x|/b) over
-    [-T, T] for each radius T.  For b >= 1 the values must increase strictly;
-    divergence is flagged when the overall growth reaches
-    ``_DIVERGENCE_GROWTH``.  For b < 1 the values approach the closed-form
-    moment and ``converged`` reports whether the last radius got within
-    ``_CONVERGENCE_TOL``.  Every radius must be finite and > 0, and one whose
-    moment overflows is a ValueError naming it.  At b = 1 the growth is only
-    linear in T (see :class:`DivergenceReport`), so radii (10, ..., 160) flag it.
-    """
+    """Witness the finite/infinite dichotomy of E[exp(noise)] at scale b from
+    the truncated moment (1/2b) * integral of exp(x)exp(-|x|/b) over [-T, T]
+    at each radius T, read as :class:`DivergenceReport` describes.  Every
+    radius must be finite and > 0; one whose moment overflows or underflows
+    to 0 is a ValueError naming it.  Radii (10, ..., 160) flag b = 1."""
     _require_positive("scale", b)
     radii = tuple(float(r) for r in radii)
     if not all(math.isfinite(r) and r > 0 for r in radii):

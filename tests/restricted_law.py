@@ -21,7 +21,7 @@ def pointwise(func, base: LaplaceDist, x):
 
 def restricted_pdf(base: LaplaceDist, x):
     """Density of the renormalized law: f(x)/(1 - F(0)) on [0, inf), zero below."""
-    normalizer = 1.0 - _mass_below_zero(base)
+    normalizer = 1.0 - _mass_below_zero(base.location, base.scale)
 
     def density(base, v):
         value = laplace_pdf(base, v) / normalizer
@@ -33,7 +33,7 @@ def restricted_pdf(base: LaplaceDist, x):
 def restricted_cdf(base: LaplaceDist, t):
     """cdf of the base law renormalized to [0, inf):
     (F(t) - F(0)) / (1 - F(0)) for t >= 0, zero below."""
-    mass_below_zero = _mass_below_zero(base)
+    mass_below_zero = _mass_below_zero(base.location, base.scale)
 
     def cdf(base, v):
         value = (laplace_cdf(base, max(v, 0.0)) - mass_below_zero) / (1.0 - mass_below_zero)

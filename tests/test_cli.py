@@ -353,6 +353,18 @@ class TestQueryInfo:
                    "--upper", "1", "--query", "mean",
                    "--out", str(tmp_path / "o.json")) == 2
 
+    @pytest.mark.parametrize("query,value", [("mean", 1e308), ("sum", "inf")])
+    def test_sum_past_the_double_range_in_a_fresh_process(self, query, value, tmp_path):
+        # The sum overflowed inside math.fsum and the process exited 1 with a traceback.
+        data = tmp_path / "big.txt"
+        data.write_text("1e308\n1e308\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "nonneg_dp.cli", "query-info", "--data", str(data),
+                               "--lower", "0", "--upper", "1.7e308", "--query", query],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["value"] == value
+
 
 class TestConfigHandling:
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):

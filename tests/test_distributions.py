@@ -12,10 +12,15 @@ from nonneg_dp.distributions import (
     laplace_pdf,
     laplace_quantile,
     log_laplace_mgf,
-    sample_laplace,
 )
+from nonneg_dp.mechanisms import PrivacyParams, make_laplace_mechanism, sample_mechanism
 
 from restricted_law import pointwise
+
+
+def _plain(b):
+    """The plain mechanism at scale b: its draws at q are the Laplace (q, b) law's."""
+    return make_laplace_mechanism(PrivacyParams(1.0, b))
 
 
 class TestLaplaceDist:
@@ -102,7 +107,7 @@ class TestQuantile:
         back = pointwise(laplace_cdf, dist, laplace_quantile(dist, ps))
         np.testing.assert_allclose(back, ps, rtol=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_rejects_out_of_range(self, p):
         with pytest.raises(ValueError, match="probability out of range"):
             laplace_quantile(LaplaceDist(0.0, 1.0), p)
@@ -155,11 +160,13 @@ class TestScalarPath:
             assert type(func(dist, x)) is float
 
     def test_sample_is_python_float(self):
-        assert type(sample_laplace(LaplaceDist(1.0, 1.0), RngState(1))) is float
+        assert type(sample_mechanism(_plain(1.0), 1.0, RngState(1))) is float
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    # nan passed the old array check, np.any(p <= 0) or np.any(p >= 1), and
+    # came back as the quantile.
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_quantile_range_error_matches_array_form(self, p):
-        for arg in (p, np.float64(p), np.array([0.5, p])):
+        for arg in (p, np.float64(p), np.asarray(p), np.array([0.5, p])):
             with pytest.raises(ValueError, match="probability out of range"):
                 laplace_quantile(LaplaceDist(0.0, 1.0), arg)
 
@@ -193,30 +200,31 @@ class TestRngState:
 
 
 class TestSampling:
+    """The Laplace law as the plain mechanism draws it."""
+
     def test_fixed_seed_reproduces_stream(self):
-        dist = LaplaceDist(0.0, 1.0)
-        first = sample_laplace(dist, RngState(42), size=1000)
-        second = sample_laplace(dist, RngState(42), size=1000)
+        first = sample_mechanism(_plain(1.0), 0.0, RngState(42), size=1000)
+        second = sample_mechanism(_plain(1.0), 0.0, RngState(42), size=1000)
         np.testing.assert_array_equal(first, second)
 
     def test_sample_mean_is_unbiased(self):
         # tolerance: 3 standard errors of the mean, std = b*sqrt(2)
-        draws = sample_laplace(LaplaceDist(0.0, 1.0), RngState(42), size=10**6)
+        draws = sample_mechanism(_plain(1.0), 0.0, RngState(42), size=10**6)
         assert abs(draws.mean()) < 0.005
 
     def test_mean_absolute_deviation_equals_scale(self):
-        draws = sample_laplace(LaplaceDist(0.0, 1.0), RngState(43), size=10**6)
+        draws = sample_mechanism(_plain(1.0), 0.0, RngState(43), size=10**6)
         assert abs(np.abs(draws).mean() - 1.0) < 0.005
 
     def test_empirical_cdf_matches_analytic(self):
         dist = LaplaceDist(0.0, 1.0)
-        draws = sample_laplace(dist, RngState(42), size=10**5)
+        draws = sample_mechanism(_plain(1.0), 0.0, RngState(42), size=10**5)
         result = stats.kstest(draws, lambda x: pointwise(laplace_cdf, dist, x))
         assert result.pvalue > 0.001
 
     def test_one_uniform_per_draw(self):
         dist = LaplaceDist(2.0, 0.5)
-        draws = sample_laplace(dist, RngState(11), size=64)
+        draws = sample_mechanism(_plain(0.5), 2.0, RngState(11), size=64)
         expected = laplace_quantile(dist, RngState(11).uniform(64))
         np.testing.assert_array_equal(draws, expected)
 

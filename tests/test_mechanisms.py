@@ -596,6 +596,24 @@ class TestScalarPath:
         scalar = [restricted_quantile(base, float(u)) for u in us]
         np.testing.assert_array_equal(scalar, batched)
 
+    @pytest.mark.parametrize("q,b", [
+        (0.0, 1.0), (40.0, 1.0), (1e6, 1.0), (5117.837244261334, 8224.514030516992),
+        (3e-301, 1e-300), (1e-294, 1e-300), (1e3, 1e-3), (5e299, 1e300), (1e306, 1e300)])
+    def test_restricted_quantile_is_the_sampler_transform(self, q, b):
+        # restricted_quantile, float and array, and the scalar and batched
+        # draws at the same uniforms run one transform, bit for bit.
+        us = [sys.float_info.min, 1e-300, 1e-12, 0.25, 0.5, math.nextafter(0.5, 1.0),
+              1.0 - 2**-53] + np.random.default_rng(2028).random(50).tolist()
+        spec = make_restricted_mechanism(PrivacyParams(1.0, b))
+        base = LaplaceDist(q, b)
+        array = restricted_quantile(base, np.array(us))
+        stream = _FixedUniform(*us)
+        for other in ([restricted_quantile(base, u) for u in us],
+                      [sample_mechanism(spec, q, stream) for _ in us],
+                      sample_mechanism(spec, q, _FixedUniform(*us), size=len(us))):
+            np.testing.assert_array_equal(other, array)
+            np.testing.assert_array_equal(np.signbit(other), np.signbit(array))
+
     @pytest.mark.parametrize("name", ["ramp", "translated-ramp", "softplus"])
     def test_postprocessor_matches_array_form(self, name):
         pp = SCALAR_PATH_SPECS[name].postprocessor

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,48 @@ class TestEvaluateQuery:
     def test_mean_of_empty_dataset_is_undefined(self):
         with pytest.raises(ValueError, match="undefined query"):
             evaluate_query(MEAN, Dataset((), 0.0, 1.0))
+
+
+class TestSumPastTheDoubleRange:
+    """math.fsum raised OverflowError once a partial sum left the double
+    range, so query-info printed a traceback."""
+
+    TOP = 1.7e308
+
+    def test_mean_is_finite(self):
+        d = Dataset((1e308, 1e308), 0.0, self.TOP)
+        assert evaluate_query(MEAN, d) == 1e308
+
+    def test_sum_is_signed_inf(self):
+        assert evaluate_query(SUM, Dataset((1e308, 1e308), 0.0, self.TOP)) == math.inf
+        assert evaluate_query(SUM, Dataset((-1e308, -1e308), -self.TOP, 0.0)) == -math.inf
+
+    def test_sum_back_in_range_is_correctly_rounded(self):
+        # The partials overflow, the exact sum is a double.
+        records = (1e308, 1e308, -1e308, 3.0, -1e308, 1e308)
+        d = Dataset(records, -self.TOP, self.TOP)
+        assert evaluate_query(SUM, d) == 1e308
+        d = Dataset((1e308, 1e308, -1e308, -1e308, 0.1), -self.TOP, self.TOP)
+        assert evaluate_query(SUM, d) == 0.1
+        assert evaluate_query(MEAN, d) == 0.1 / 5
+        # Scaling every record by a power of two would lose a subnormal's bits.
+        d = Dataset((1e308, 1e308, -1e308, -1e308, 5e-324), -self.TOP, self.TOP)
+        assert evaluate_query(SUM, d) == 5e-324
+
+    def test_largest_double_sums_to_inf_and_averages_to_itself(self):
+        top = sys.float_info.max
+        d = Dataset((top,) * 3, 0.0, top)
+        assert evaluate_query(SUM, d) == math.inf
+        assert evaluate_query(MEAN, d) == top
+
+    def test_mean_matches_fsum_over_n_with_a_wider_exponent(self):
+        # Any power of two that keeps fsum in range scales its bits exactly.
+        gen = np.random.default_rng(9)
+        for _ in range(200):
+            records = tuple((gen.uniform(0.5, 1.0, gen.integers(2, 40)) * 1.7e308).tolist())
+            d = Dataset(records, 0.0, self.TOP)
+            scaled = math.fsum(r / 2**8 for r in records)
+            assert evaluate_query(MEAN, d) == scaled / len(records) * 2**8
 
 
 class TestSensitivity:

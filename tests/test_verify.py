@@ -379,6 +379,22 @@ class TestDivergenceCheck:
         assert report.limit == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert not report.diverges
 
+    @pytest.mark.parametrize("b", [1e-300, 1e-6, 1e-4, 0.5, 1e300])
+    def test_truncated_moment_at_every_scale(self, b):
+        # Integrated in x, at b = 1e-4 the moments were (1.00000001, 1.6e-17,
+        # 4.4e-36), not converged, and at b <= 1e-6 a ZeroDivisionError.
+        report = check_divergence_log_laplace(b, (1.0, 2.0, 4.0))
+        for radius, value in zip(report.radii, report.values):
+            expected = 0.5 * (-math.expm1(-radius * (1 + b) / b) / (1 + b)
+                              - math.expm1(-radius * (1 - b) / b) / (1 - b))
+            assert value == pytest.approx(expected, rel=1e-9)
+        assert report.converged == (b <= 1e-4)
+        assert report.diverges == (b > 1)
+
+    def test_radius_over_scale_that_underflows_is_value_error(self):
+        with pytest.raises(ValueError, match="underflows at radius 1e-30"):
+            check_divergence_log_laplace(1e300, (1e-30, 1.0))
+
     def test_rejects_unordered_radii(self):
         with pytest.raises(ValueError):
             check_divergence_log_laplace(1.0, (10, 10))
