@@ -18,15 +18,18 @@ than 2 at every q.
 Closed forms here are exact; a quadrature engine handles arbitrary
 nonnegative square-integrable post-processing functions and doubles as the
 independent cross-check for the closed forms.  ``closed_form_bias`` and
-``quadrature_bias`` give both for any :class:`MechanismSpec`.
+``quadrature_bias`` give both for any :class:`MechanismSpec`; for the plain
+release both are exactly 0 with no integral, since its excess is the noise,
+whose density is even.
 """
 
 from __future__ import annotations
 
 import math
 
-from .distributions import LaplaceDist, _integrate, _require_nonnegative, _require_positive, laplace_pdf
-from .mechanisms import MechanismSpec, PostProcessor, Variant, _mass_below_zero, apply_postprocessor
+from .distributions import _integrate, _require_nonnegative, _require_positive, np
+from .mechanisms import (_MULTIPLICATIVE, _PLAIN, _RESTRICTED, MechanismSpec, PostProcessor, _mass_below_zero,
+                         apply_postprocessor)
 
 __all__ = [
     "bias_bit",
@@ -62,19 +65,15 @@ def expectation_translated_ramp(q: float, alpha: float, b: float) -> float:
 def bias_translated_ramp(q: float, alpha: float, b: float) -> float:
     """Bias of the translated-ramp mechanism; decreasing in q, tends to -alpha.
 
-    Equals -alpha + (b/2)exp((alpha - q)/b) for q >= alpha and
-    (b/2)exp((q - alpha)/b) - q below, so no E[output] ~ q is formed and
-    then cancelled against q.  Near the zero of the bias its two terms
-    cancel, so where |bias| < alpha/64 it is evaluated again with 40
-    significant digits.
+    Equals (b/2)exp(-|q - alpha|/b) - min(q, alpha), so no E[output] ~ q
+    is formed and then cancelled against q.  Near the zero of the bias its
+    two terms cancel, so where |bias| < alpha/64 it is evaluated again with
+    40 significant digits.
     """
     _require_positive("scale", b)
     _require_nonnegative("q", q)
     _require_nonnegative("alpha", alpha)
-    if q >= alpha:
-        bias = 0.5 * b * math.exp((alpha - q) / b) - alpha
-    else:
-        bias = 0.5 * b * math.exp((q - alpha) / b) - q
+    bias = 0.5 * b * math.exp(-abs(q - alpha) / b) - min(q, alpha)
     return _ramp_bias_to_40_digits(q, alpha, b) if abs(bias) < alpha / 64 else bias
 
 
@@ -167,11 +166,11 @@ def closed_form_bias(spec: MechanismSpec, q: float) -> float:
     """
     _require_nonnegative("q", q)
     b = spec.scale
-    if spec.variant is Variant.PLAIN:
+    if spec.variant is _PLAIN:
         return 0.0
-    if spec.variant is Variant.RESTRICTED:
+    if spec.variant is _RESTRICTED:
         return bias_restricted(q, b)
-    if spec.variant is Variant.MULTIPLICATIVE:
+    if spec.variant is _MULTIPLICATIVE:
         return q * b * b / ((1.0 - b) * (1.0 + b)) if b < 1.0 else math.inf
     pp = spec.postprocessor
     if pp.kind == "custom":
@@ -183,9 +182,12 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     """Bias of the mechanism at q by adaptive quadrature of its output law,
     the independent cross-check of :func:`closed_form_bias`.
 
-    The additive variants integrate (output - q) times the density of the
-    noise z, so no E[output] ~ q is formed and then cancelled against q.  The
-    multiplicative bias q E[e^z - 1] folds z and -z into the positive integrand
+    The plain release's excess is the noise z itself, whose density is even,
+    so its integrand z f(z) is odd and its bias is exactly 0 at every (q, b):
+    no integral is taken.  The other additive variants integrate
+    (output - q) times the density of the noise z, so no E[output] ~ q is
+    formed and then cancelled against q.  The multiplicative bias q E[e^z - 1]
+    folds z and -z into the positive integrand
     q exp(z(1 - 1/b)) expm1(-z)^2/(2b) on z >= 0: no cancellation, no overflow.
     Each integral is taken in t = z/b, where it is of order 1 (over b^2 when
     multiplicative), so quad's absolute tolerance stays relative at tiny b.
@@ -193,7 +195,9 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
     b = spec.scale
     _require_positive("scale", b)
     _require_nonnegative("q", q)
-    if spec.variant is Variant.MULTIPLICATIVE:
+    if spec.variant is _PLAIN:
+        return 0.0
+    if spec.variant is _MULTIPLICATIVE:
         if b >= 1.0:
             return math.inf
         # Breaks at z = 1, 10, 40, where expm1(-z)^2 saturates, keep quad
@@ -201,17 +205,16 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
         return q * b * b * _integrate(
             lambda t: (math.expm1(-b * t) / b) ** 2 * math.exp((b - 1.0) * t) / 2.0,
             0.0, _TAIL_RADII / (1.0 - b), [1.0 / b, 10.0 / b, 40.0 / b])
-    lo, hi = -_TAIL_RADII, _TAIL_RADII
-    if spec.variant is Variant.PLAIN:
-        return b * _integrate(lambda t: t * math.exp(-abs(t)) / 2.0, lo, hi, [0.0])
-    if spec.variant is Variant.RESTRICTED:
-        # The restricted density f(x)/(1 - F(0)), zero below 0, with 1 - F(0) taken once.
-        base = LaplaceDist(q, b)
+    if spec.variant is _RESTRICTED:
+        # The restricted density e^(-|x - q|/b)/(2b)/(1 - F(0)), zero below
+        # 0, with 1 - F(0) taken once.
+        if q + b * _TAIL_RADII == math.inf:
+            raise ValueError("the restricted law's integration window leaves the double range")
         normalizer = 1.0 - _mass_below_zero(q, b)
 
         def excess(t: float) -> float:
             x = q + b * t
-            return t * b * (0.0 if x < 0 else laplace_pdf(base, x) / normalizer)
+            return t * b * (0.0 if x < 0 else float(np.exp(-abs(x - q) / b)) / (2.0 * b) / normalizer)
 
-        return b * _integrate(excess, max(lo, -q / b), hi, [0.0])
+        return b * _integrate(excess, max(-_TAIL_RADII, -q / b), _TAIL_RADII, [0.0])
     return _postprocessed_mean(spec.postprocessor, q, b, q)

@@ -69,13 +69,7 @@ class UsageError(Exception):
 # deterministic formatting
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _json_render(obj, indent: int = 0) -> str:
@@ -86,7 +80,7 @@ def _json_render(obj, indent: int = 0) -> str:
         items = ",\n".join(f"{pad}  {json.dumps(k)}: {_json_render(v, indent + 1)}"
                            for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         items = ",\n".join(f"{pad}  {_json_render(v, indent + 1)}" for v in obj)
@@ -99,8 +93,6 @@ def _json_render(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if isinstance(obj, int):
         return str(obj)
-    if obj is None:
-        return "null"
     return json.dumps(str(obj))
 
 

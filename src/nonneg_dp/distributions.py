@@ -6,17 +6,20 @@ Everything in this package ultimately reduces to the Laplace density
 
 with location q and scale b > 0, plus its exponential transform (the
 log-Laplace law used by multiplicative mechanisms).  This module provides
-the exact pdf/cdf/quantile, the moment generating function of exp-transformed
-Laplace noise, and deterministic inverse-transform sampling.
+the exact quantile, the moment generating function of exp-transformed
+Laplace noise, and deterministic inverse-transform sampling.  The density
+and cdf have no function of their own: the restricted quadrature of
+:mod:`nonneg_dp.bias`, the log densities of
+:func:`nonneg_dp.mechanisms.adjacent_densities` and F(0) in
+``mechanisms._mass_below_zero`` each write out the closed form they use.
 
 Sampling draws exactly one uniform variate per Laplace draw.  That accounting
 is load-bearing: the quantile-coupling construction in :mod:`nonneg_dp.verify`
 relies on the sample being a deterministic function of a single uniform.
 The samplers, the plain mechanism's included, are in :mod:`nonneg_dp.mechanisms`.
 
-The pdf and cdf take one point and return a Python ``float``.  The quantile
-takes a float (Python or numpy scalar) or an array in (0, 1), checked by
-``_quantile``, which the restricted quantile shares.  Its float form
+The quantile takes a float (Python or numpy scalar) or an array in (0, 1),
+checked by ``_quantile``, which the restricted quantile shares.  Its float form
 ``_scalar_quantile`` and branch-free block form ``_quantile_in_place`` (one
 log per point) apply the same ``np.log`` and agree bit for bit; samplers
 call them directly.  The public quantile never writes into its input.
@@ -63,8 +66,6 @@ np = _lazy_numpy()
 __all__ = [
     "LaplaceDist",
     "RngState",
-    "laplace_pdf",
-    "laplace_cdf",
     "laplace_quantile",
     "log_laplace_mgf",
 ]
@@ -124,21 +125,6 @@ class RngState:
             return float(u) if u > 0.0 else _TINY
         u = self._gen.random(size, out=out)
         return np.maximum(u, _TINY, out=u)
-
-
-def laplace_pdf(dist: LaplaceDist, x: float) -> float:
-    """Density (1/2b) exp(-|x - q|/b); strictly positive for all finite x."""
-    if not math.isfinite(x):
-        raise ValueError("non-finite input")
-    return float(np.exp(-abs(x - dist.location) / dist.scale)) / (2.0 * dist.scale)
-
-
-def laplace_cdf(dist: LaplaceDist, x: float) -> float:
-    """Exact cdf: (1/2)e^{(x-q)/b} below the mean, 1 - (1/2)e^{-(x-q)/b} above."""
-    if not math.isfinite(x):
-        raise ValueError("non-finite input")
-    z = (x - dist.location) / dist.scale
-    return 0.5 * float(np.exp(z)) if z < 0 else 1.0 - 0.5 * float(np.exp(-z))
 
 
 def laplace_quantile(dist: LaplaceDist, p):

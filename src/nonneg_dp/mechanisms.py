@@ -313,8 +313,9 @@ def adjacent_densities(spec: MechanismSpec) -> tuple[Callable, Callable, tuple[f
 
 def _mass_below_zero(q: float, b: float) -> float:
     """F(0) = exp(-q/b)/2, the Laplace (q, b) mass that restriction removes,
-    with the bits of :func:`laplace_cdf` at 0.  Below 0 the restricted law's
-    1 - F(0) cancels (0.0 at q = -40), so a location q < 0 is a ValueError."""
+    by ``np.exp``: the one F(0) of the restricted samplers, quantile and
+    quadrature.  Below 0 the restricted law's 1 - F(0) cancels (0.0 at
+    q = -40), so a location q < 0 is a ValueError."""
     if q < 0:
         raise ValueError(f"restricted law needs a location >= 0, got {q}")
     return 0.5 * float(np.exp(-q / b))

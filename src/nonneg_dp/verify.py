@@ -123,14 +123,18 @@ def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
 
     Both equal numpy's ``mean`` and ``std(ddof=1)/sqrt(n)`` of the draws bit
     for bit, and the draws array is the only large one held.  Where a sum
-    overflows (draws near the top of the float range, as at b = 1e300), both
-    are taken again over the draws scaled by an exact power of two and scaled
-    back."""
+    overflows (draws near the top of the float range, as at b = 1e300) or a
+    squared deviation or the mean underflows (draws below about 1e-154, where
+    the square of a deviation leaves the normal range), both are taken again
+    over the draws scaled by an exact power of two and scaled back."""
     if n < 100:
         raise ValueError("need at least 100 draws for a standard error")
     draws = sample_mechanism(spec, q, RngState(seed), size=n)
-    with np.errstate(over="ignore"):
-        mean, stderr = _mean_and_stderr(draws, n)
+    try:
+        with np.errstate(over="ignore", under="raise"):
+            mean, stderr = _mean_and_stderr(draws, n)
+    except FloatingPointError:   # underflow: the pass lost bits, perhaps all of them
+        mean = stderr = math.nan
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         # The first pass overwrote the draws; the seed gives them again.
         draws = sample_mechanism(spec, q, RngState(seed), size=n)

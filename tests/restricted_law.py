@@ -1,12 +1,34 @@
-"""Closed forms of the restricted law, the density and cdf that the sampler,
-coupling, certificate and acceptance tests compare draws, quantiles and log
-ratios against, and ``pointwise``, which takes the library's one-point
-Laplace pdf or cdf over an array."""
+"""Closed forms of the Laplace and restricted laws, the densities and cdfs
+that the sampler, coupling, certificate and acceptance tests compare draws,
+quantiles and log ratios against, and ``pointwise``, which takes a
+one-point density or cdf over an array.
+
+The package has no public density or cdf: these are written out here with
+the arithmetic its restricted quadrature applies (``np.exp``, then the
+divisions in the same order), so a reference value never comes from the
+code under test."""
+
+import math
 
 import numpy as np
 
-from nonneg_dp.distributions import LaplaceDist, laplace_cdf, laplace_pdf
+from nonneg_dp.distributions import LaplaceDist
 from nonneg_dp.mechanisms import _mass_below_zero
+
+
+def laplace_pdf(dist: LaplaceDist, x: float) -> float:
+    """Density (1/2b) exp(-|x - q|/b); strictly positive for all finite x."""
+    if not math.isfinite(x):
+        raise ValueError("non-finite input")
+    return float(np.exp(-abs(x - dist.location) / dist.scale)) / (2.0 * dist.scale)
+
+
+def laplace_cdf(dist: LaplaceDist, x: float) -> float:
+    """Exact cdf: (1/2)e^{(x-q)/b} below the mean, 1 - (1/2)e^{-(x-q)/b} above."""
+    if not math.isfinite(x):
+        raise ValueError("non-finite input")
+    z = (x - dist.location) / dist.scale
+    return 0.5 * float(np.exp(z)) if z < 0 else 1.0 - 0.5 * float(np.exp(-z))
 
 
 def pointwise(func, base: LaplaceDist, x):

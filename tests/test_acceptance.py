@@ -22,7 +22,7 @@ from nonneg_dp.bias import (
     optimal_alpha,
 )
 from nonneg_dp.cli import main as cli_main
-from nonneg_dp.distributions import LaplaceDist, laplace_cdf, log_laplace_mgf
+from nonneg_dp.distributions import LaplaceDist, log_laplace_mgf
 from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
@@ -40,7 +40,7 @@ from nonneg_dp.verify import (
 )
 
 from numeric_sup import max_abs_bias_numeric
-from restricted_law import pointwise, restricted_cdf, restricted_pdf
+from restricted_law import laplace_cdf, pointwise, restricted_cdf, restricted_pdf
 
 
 def report(number: int, passed: bool, detail: str) -> None:

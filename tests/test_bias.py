@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from nonneg_dp import quadpack
 from nonneg_dp.bias import (
     bias_bit,
     bias_ratio_restricted_vs_bit,
@@ -342,6 +343,22 @@ class TestSpecBias:
         assert gap <= 1e-12 * (q + b)
 
 
+class TestPlainQuadrature:
+    """The plain release's excess is the noise itself, whose density is even,
+    so its bias is exactly +0.0 at every (q, b) and takes no integral."""
+
+    @pytest.mark.parametrize("b", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("q_over_b", [0.0, 1e6])
+    def test_is_positive_zero_without_an_integral(self, b, q_over_b, monkeypatch):
+        def qagp(*args):
+            raise AssertionError("the plain bias took an integral")
+
+        monkeypatch.setattr(quadpack, "qagp", qagp)
+        spec = make_laplace_mechanism(PrivacyParams(1.0, b))
+        value = quadrature_bias(spec, q_over_b * b)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def _mp_additive_bias(variant, q, b, alpha):
     """Bias at 50 digits: 0 (plain), the translated ramp, or restriction."""
     with mpmath.workdps(50):
@@ -551,6 +568,14 @@ class TestDispatcherInputChecks:
         spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, 0.3), 0.0)
         with pytest.raises(ValueError, match="scale must be"):
             quadrature_bias(spec, 1.0)
+
+    @pytest.mark.parametrize("q,b", [(1.7e308, 1e306), (1e308, 1e307), (0.0, 1e308)])
+    def test_restricted_quadrature_past_the_double_range_is_value_error(self, q, b):
+        # q + 40b overflows: the nodes past the double range would add
+        # nothing, and the integral could be a wrong finite value.
+        spec = MechanismSpec(Variant.RESTRICTED, PrivacyParams(1.0, 1.0), b)
+        with pytest.raises(ValueError):
+            quadrature_bias(spec, q)
 
     # (argument name, call with the value, whether 0 is rejected too)
     ENTRIES = [

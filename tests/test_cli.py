@@ -246,6 +246,19 @@ class TestMcValidate:
         assert header[-1] == "warning"
         assert all("infinite" in row[5] for row in rows)
 
+    def test_every_row_has_a_z_score_at_the_smallest_scale(self, tmp_path):
+        # The squared deviations of draws of order 1e-300 underflow: the
+        # standard error was 0 and z nan in every row.
+        out = tmp_path / "mc.csv"
+        assert run("mc-validate", "--mechanism", "restricted", "--scale", "1e-300",
+                   "--q-max", "3e-300", "--q-points", "3", "--samples", "1000",
+                   "--out", str(out)) == 0
+        _, rows, summaries = read_csv_report(str(out))
+        assert len(rows) == 3
+        for row in rows:
+            assert row[3] > 0 and math.isfinite(row[4])
+        assert float(summaries[0].split("=")[1]) == max(abs(row[4]) for row in rows)
+
 
 def run_reading_warnings(capsys, *argv):
     """Exit code and the messages of the ``warning:`` lines the run printed."""

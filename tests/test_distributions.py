@@ -8,14 +8,12 @@ from nonneg_dp.distributions import (
     _TINY,
     LaplaceDist,
     RngState,
-    laplace_cdf,
-    laplace_pdf,
     laplace_quantile,
     log_laplace_mgf,
 )
 from nonneg_dp.mechanisms import PrivacyParams, make_laplace_mechanism, sample_mechanism
 
-from restricted_law import pointwise
+from restricted_law import laplace_cdf, laplace_pdf, pointwise
 
 
 def _plain(b):
@@ -42,6 +40,8 @@ class TestLaplaceDist:
 
 
 class TestPdf:
+    """The reference density of ``restricted_law``, which other tests compare against."""
+
     def test_peak_value(self):
         assert laplace_pdf(LaplaceDist(0.0, 1.0), 0.0) == 0.5
         assert laplace_pdf(LaplaceDist(3.0, 2.0), 3.0) == 0.25
@@ -66,6 +66,8 @@ class TestPdf:
 
 
 class TestCdf:
+    """The reference cdf of ``restricted_law``, which other tests compare against."""
+
     def test_half_at_mean(self):
         assert laplace_cdf(LaplaceDist(0.0, 1.0), 0.0) == 0.5
 

@@ -12,8 +12,6 @@ from nonneg_dp.distributions import (
     _TINY,
     LaplaceDist,
     RngState,
-    laplace_cdf,
-    laplace_pdf,
     laplace_quantile,
 )
 from nonneg_dp.mechanisms import (
@@ -37,7 +35,7 @@ from nonneg_dp.mechanisms import (
 from nonneg_dp.verify import certify_dp_densities
 
 from piecewise_linear import wavy_ramp
-from restricted_law import pointwise, restricted_cdf, restricted_pdf
+from restricted_law import laplace_cdf, laplace_pdf, pointwise, restricted_cdf, restricted_pdf
 
 
 class _FixedUniform:

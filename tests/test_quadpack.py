@@ -26,7 +26,6 @@ from nonneg_dp.bias import expectation_postprocessed_quadrature, quadrature_bias
 from nonneg_dp.mechanisms import (
     PostProcessor,
     PrivacyParams,
-    make_laplace_mechanism,
     make_multiplicative_mechanism,
     make_postprocessed_mechanism,
     make_restricted_mechanism,
@@ -100,7 +99,6 @@ def _interpolant(knot_count):
 
 QS = (0.0, 0.3, 2.0, 45.0)
 CORPUS = {
-    "laplace": _biases(make_laplace_mechanism, QS),
     "bit": _biases(lambda p: make_postprocessed_mechanism(p, PostProcessor.ramp()), QS),
     "ramp": _biases(lambda p: make_postprocessed_mechanism(p, PostProcessor.translated_ramp(0.35)), QS),
     # At q = 0 no breakpoint lies inside [0, 40].
@@ -111,7 +109,7 @@ CORPUS = {
     # q/b = 1e9 sets the roundoff counters.
     "large-q-over-b": lambda: [
         quadrature_bias(make(PrivacyParams(1.0, 1e-3)), 1e6)
-        for make in (make_laplace_mechanism, make_restricted_mechanism,
+        for make in (make_restricted_mechanism,
                      lambda p: make_postprocessed_mechanism(p, PostProcessor.ramp()),
                      lambda p: make_postprocessed_mechanism(p, PostProcessor.translated_ramp(3.5e-4)))],
     # The V+ check at T = 20, 40, 80, ...

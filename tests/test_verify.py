@@ -11,7 +11,6 @@ from nonneg_dp.bias import bias_bit, bias_restricted, bias_translated_ramp, opti
 from nonneg_dp.distributions import (
     LaplaceDist,
     RngState,
-    laplace_cdf,
     laplace_quantile,
     log_laplace_mgf,
 )
@@ -36,7 +35,7 @@ from nonneg_dp.verify import (
     mc_bias,
 )
 
-from restricted_law import pointwise, restricted_cdf
+from restricted_law import laplace_cdf, pointwise, restricted_cdf
 
 
 class TestCertifyDpDensities:
@@ -294,6 +293,23 @@ class TestMcBiasNearTheTopOfTheFloatRange:
         assert math.isfinite(est.mean) and math.isfinite(est.stderr)
         assert est.stderr == pytest.approx(math.sqrt(2.0) * b / math.sqrt(n), rel=0.1)
         assert abs(est.mean) <= 4 * est.stderr
+
+
+class TestMcBiasNearTheBottomOfTheFloatRange:
+    """Below b ~ 1e-154 the squared deviations of the draws underflow, and
+    below ~1e-162 their sum was 0; ``mc_bias`` takes both moments again over
+    the draws scaled by a power of two."""
+
+    @pytest.mark.parametrize("make", [make_laplace_mechanism, make_restricted_mechanism],
+                             ids=["plain", "restricted"])
+    @pytest.mark.parametrize("exponent", [-600, -990])
+    def test_equals_the_scaled_estimate_at_a_power_of_two_scale(self, make, exponent):
+        # At q = 0 every draw at b = 2**exponent is exactly 2**exponent
+        # times the draw at b = 1, so the estimate scales exactly too.
+        unit = mc_bias(make(PrivacyParams(1.0, 1.0)), 0.0, 1000, seed=3)
+        tiny = mc_bias(make(PrivacyParams(1.0, 2.0**exponent)), 0.0, 1000, seed=3)
+        assert tiny.mean == math.ldexp(unit.mean, exponent)
+        assert tiny.stderr == math.ldexp(unit.stderr, exponent)
 
 
 class TestStochasticDominance:
