@@ -27,7 +27,8 @@ call them directly.  The public quantile never writes into its input.
 ``_integrate`` is the package's one quadrature; it imports :mod:`nonneg_dp.quadpack`
 when it runs.
 ``_even_grid`` is its one evenly spaced grid, built without numpy.
-``_require_positive`` and ``_require_nonnegative`` are the package's range checks.
+``_require_positive`` and ``_require_nonnegative`` are the package's range checks,
+``_require_integer`` its integer check.
 
 ``np`` is numpy, loaded on its first attribute access, so a process that
 only evaluates closed forms never executes it; the package's other modules
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,6 +87,14 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``: numpy integers pass, 1.5 does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class LaplaceDist:
     """Laplace law with mean ``location`` (the true query value) and scale ``scale``."""
@@ -103,17 +113,19 @@ class RngState:
     """Deterministic uniform stream.
 
     Built on a seeded :class:`numpy.random.SeedSequence`; the same seed always
-    reproduces the same stream bit-for-bit.  A state is single-owner: never
-    share one across concurrent tasks, give each its own seed instead.
+    reproduces the same stream bit-for-bit.  The seed is an integer in
+    [0, 2^64), a Python or numpy one; any other value is a ValueError.  A
+    state is single-owner: never share one across concurrent tasks, give
+    each its own seed instead.
     """
 
     seed: int
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        self.seed = _require_integer("seed", self.seed)
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        self.seed = int(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def uniform(self, size: int | None = None, out: np.ndarray | None = None):

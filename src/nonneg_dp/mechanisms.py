@@ -79,6 +79,8 @@ class PrivacyParams:
 # this relative amount.
 _VPLUS_RTOL = 1e-8
 _VPLUS_GRID_POINTS = 10_000
+# A custom post-processor's outputs lie in [0, _LARGEST], at vetting and at each application.
+_LARGEST = sys.float_info.max
 
 
 def _check_v_plus_membership(func: Callable[[float], float], scale: float,
@@ -88,9 +90,8 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
     Laplace T, integrated in t = x/b over [-T, T] for T = 20, 40, ..., split
     at 0 and at the kinks, must settle; an overflow or a failed integral means
     it does not."""
-    largest = sys.float_info.max
     for x in _even_grid(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS):
-        if not 0.0 <= float(func(x)) <= largest:   # false for nan and inf too
+        if not 0.0 <= float(func(x)) <= _LARGEST:   # false for nan and inf too
             raise ValueError("post-processor not nonnegative")
 
     def weighted_square(t: float) -> float:
@@ -115,13 +116,15 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
 class PostProcessor:
     """A nonnegative deterministic function applied to mechanism outputs.
 
-    Use the classmethod constructors.  ``custom`` functions are vetted at
-    construction: nonnegativity is spot-checked on a grid and
-    square-integrability under the exp(-|x|/scale) weight is required, which
-    guarantees finite first and second output moments at every query value
-    for noise of that ``scale``.  A spec sampling at another scale is not
-    vetted again: exp(x/3) passes at scale 1, but at scale 2 its variance is
-    infinite.
+    Use the classmethod constructors.  Every output must be finite and
+    nonnegative, each time the function is applied: a custom one that
+    returns a negative value, nan or inf is a ValueError there.  ``custom``
+    functions are vetted at construction: their outputs are spot-checked on
+    a grid and square-integrability under the exp(-|x|/scale) weight is
+    required, which guarantees finite first and second output moments at
+    every query value for noise of that ``scale``.  A spec sampling at
+    another scale is not vetted again: exp(x/3) passes at scale 1, but at
+    scale 2 its variance is infinite.
 
     ``kinks`` are the points where the function is not smooth, sorted: alpha
     for the translated ramp, those declared for a custom one.  Every integral
@@ -159,14 +162,17 @@ class PostProcessor:
 
 
 def apply_postprocessor(pp: PostProcessor, x):
-    """Apply the post-processing function to a scalar or array of outputs."""
+    """Apply the post-processing function to a scalar or array of outputs.
+    Every output must be finite and nonnegative, each time: a custom
+    function's negative, nan or inf value is ValueError("post-processor not
+    nonnegative")."""
     if isinstance(x, float):
         if pp.kind == "translated-ramp":
             shifted = float(x) - pp.alpha
             # np.maximum's answer, -0.0 and nan included.
             return 0.0 if shifted <= 0.0 else shifted
         value = float(pp.func(float(x)))
-        if value < 0:
+        if not 0.0 <= value <= _LARGEST:
             raise ValueError("post-processor not nonnegative")
         return value
     out = _postprocess_in_place(pp, np.array(x, dtype=float))

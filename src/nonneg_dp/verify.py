@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .distributions import (LaplaceDist, RngState, _integrate, _require_nonnegative, _require_positive,
-                            laplace_quantile, log_laplace_mgf, np)
+from .distributions import (LaplaceDist, RngState, _integrate, _require_integer, _require_nonnegative,
+                            _require_positive, laplace_quantile, log_laplace_mgf, np)
 from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
 __all__ = [
@@ -157,8 +157,10 @@ def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
     Both inverse cdfs are evaluated at the same omega; the restricted quantile
     must dominate pointwise (anything else is an implementation bug), and the
     trapezoidal mean of the gap estimates E[restricted] - E[base], the
-    restriction bias, which is strictly positive.
+    restriction bias, which is strictly positive.  ``omega_grid``, the
+    number of grid points, is an integer of at least 100.
     """
+    omega_grid = _require_integer("omega grid", omega_grid)
     if omega_grid < 100:
         raise ValueError("omega grid too coarse")
     omega = np.arange(1, omega_grid + 1, dtype=float) / (omega_grid + 1)

@@ -39,20 +39,12 @@ from nonneg_dp.verify import (
     mc_bias,
 )
 
-from numeric_sup import max_abs_bias_numeric
-from restricted_law import laplace_cdf, pointwise, restricted_cdf, restricted_pdf
+from reference import (laplace_cdf, max_abs_bias_numeric, pointwise, ramp_mean_quad, restricted_cdf,
+                       restricted_mean_quad, truncated_exp_moment)
 
 
 def report(number: int, passed: bool, detail: str) -> None:
     print(f"criterion {number:2d}: {'PASS' if passed else 'FAIL'}: {detail}")
-
-
-def quad_ramp_expectation(q: float, b: float, alpha: float = 0.0) -> float:
-    """Reference quadrature of the clamped expectation, independent of the library path."""
-    value, _ = integrate.quad(
-        lambda x: max(x - alpha, 0.0) * math.exp(-abs(x - q) / b) / (2 * b),
-        q - 45 * b, q + 45 * b, points=sorted({q, alpha}), limit=300)
-    return value
 
 
 def test_criterion_01_clamping_bias_formula():
@@ -62,7 +54,7 @@ def test_criterion_01_clamping_bias_formula():
     for b in scales:
         for q in np.linspace(0.0, 6.0 * b, 20):
             q = float(q)
-            worst = max(worst, abs(bias_bit(q, b) - (quad_ramp_expectation(q, b) - q)))
+            worst = max(worst, abs(bias_bit(q, b) - (ramp_mean_quad(q, b) - q)))
     sup_results = [max_abs_bias_numeric(lambda q, b=b: bias_bit(q, b),
                                         q_max=20.0 * b, grid_points=201) for b in scales]
     exact_max = all(r.value == 0.5 * b and r.argmax_q == 0.0
@@ -109,9 +101,7 @@ def test_criterion_03_restriction_bias():
     for b in (0.5, 1.0, 2.0):
         for q in np.linspace(0.0, 5.0 * b, 12):
             q = float(q)
-            base = LaplaceDist(q, b)
-            mean, _ = integrate.quad(lambda x: x * restricted_pdf(base, x),
-                                     0.0, q + 45 * b, points=[q], limit=300)
+            mean = restricted_mean_quad(LaplaceDist(q, b))
             worst_quad = max(worst_quad, abs(bias_restricted(q, b) - (mean - q)))
     spec = make_restricted_mechanism(PrivacyParams(1.0, 1.0))
     worst_z = 0.0
@@ -194,7 +184,7 @@ def test_criterion_07_exp_moment_dichotomy():
     growth = check_divergence_log_laplace(1.0, (10.0, 20.0, 40.0, 80.0, 160.0))
     # A finite set of radii cannot tell b = 1 from b just below 1 by the ratio
     # alone, so each truncated value is pinned to its analytic form as well.
-    analytic = [0.5 * ((1 - math.exp(-2 * t)) / 2 + t) for t in growth.radii]
+    analytic = [truncated_exp_moment(1.0, t) for t in growth.radii]
     pinned = all(v == pytest.approx(a, rel=1e-9) for v, a in zip(growth.values, analytic))
     t_first, t_last = growth.radii[0], growth.radii[-1]
     expected_growth = (t_last / 2 + 0.25) / (t_first / 2 + 0.25)

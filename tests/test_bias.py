@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
 from nonneg_dp import quadpack
 from nonneg_dp.bias import (
@@ -33,17 +33,8 @@ from nonneg_dp.mechanisms import (
 )
 from nonneg_dp.verify import certify_dp_densities, check_divergence_log_laplace
 
-from numeric_sup import max_abs_bias_numeric
-from piecewise_linear import hinge_sum_bias, wavy_ramp
-from restricted_law import restricted_pdf
-
-
-def ramp_expectation_quad(q, b, alpha=0.0):
-    """Independent oracle: integrate max(x - alpha, 0) against the density."""
-    value, _ = integrate.quad(
-        lambda x: max(x - alpha, 0.0) * math.exp(-abs(x - q) / b) / (2 * b),
-        q - 45 * b, q + 45 * b, points=sorted({q, alpha}), limit=300)
-    return value
+from reference import (hinge_sum_bias, max_abs_bias_numeric, mp_bias, mp_softplus_bias, ramp_mean_quad,
+                       restricted_mean_quad, softplus, wavy_ramp)
 
 
 class TestBitBias:
@@ -56,7 +47,7 @@ class TestBitBias:
 
     def test_matches_quadrature(self):
         for q, b in [(0.0, 1.0), (0.7, 0.4), (3.0, 2.0), (10.0, 1.5)]:
-            assert bias_bit(q, b) == pytest.approx(ramp_expectation_quad(q, b) - q, abs=1e-10)
+            assert bias_bit(q, b) == pytest.approx(ramp_mean_quad(q, b) - q, abs=1e-10)
 
     def test_strictly_positive_and_decreasing(self):
         qs = np.linspace(0, 20, 200)
@@ -136,10 +127,9 @@ class TestTranslatedRampBias:
         # Error within a few ulp of the larger of the two terms; forming
         # E[output] - q lost 3.6e-8 relative at q = 1e6, b = 1e-3.
         with mpmath.workdps(50):
-            q_, a_, b_ = mpmath.mpf(q), mpmath.mpf(alpha), mpmath.mpf(b)
-            boundary = b_ / 2 * mpmath.exp(-abs(q_ - a_) / b_)
-            exact = boundary - a_ if q >= alpha else boundary - q_
-            size = max(boundary, a_ if q >= alpha else q_)
+            exact = mp_bias("post-processed", q, b, alpha)
+            floor = mpmath.mpf(min(q, alpha))
+            size = max(exact + floor, floor)
             error = abs(mpmath.mpf(bias_translated_ramp(q, alpha, b)) - exact)
             assert error <= 4 * 2.0**-53 * size
 
@@ -158,8 +148,7 @@ class TestTranslatedRampBias:
                 else:
                     zero = -b_ * mpmath.lambertw(-mpmath.exp(-a_ / b_) / 2).real
                 q = float(zero * (1 + mpmath.mpf(float(rng.uniform(-1e-4, 1e-4)))))
-                q_ = mpmath.mpf(q)
-                exact = b_ / 2 * mpmath.exp(-abs(q_ - a_) / b_) - min(q_, a_)
+                exact = mp_bias("post-processed", q, b, alpha)
                 error = abs(mpmath.mpf(bias_translated_ramp(q, alpha, b)) - exact)
                 assert error <= 2.0**-52 * abs(exact), (q, alpha, b)
 
@@ -236,9 +225,7 @@ class TestRestrictedBias:
 
     def test_matches_quadrature_of_restricted_density(self):
         for q, b in [(0.0, 1.0), (1.0, 1.0), (2.0, 0.5), (5.0, 2.0)]:
-            base = LaplaceDist(q, b)
-            mean, _ = integrate.quad(lambda x: x * restricted_pdf(base, x),
-                                     0.0, q + 45 * b, points=[q], limit=300)
+            mean = restricted_mean_quad(LaplaceDist(q, b))
             assert bias_restricted(q, b) == pytest.approx(mean - q, abs=1e-10)
 
     def test_no_overflow_far_out(self):
@@ -262,9 +249,9 @@ class TestBiasRatio:
         assert bias_ratio_restricted_vs_bit(3000.0, 1.0, 1.0) == math.inf
 
     def test_large_finite_value_matches_mpmath(self):
+        # The restricted bias at scale 2 Delta/eps over the clamping bias at Delta/eps.
         with mpmath.workdps(50):
-            s = mpmath.mpf(1350)
-            exact = 2 * mpmath.exp(s) * (s + 2) / (2 * mpmath.exp(s / 2) - 1)
+            exact = mp_bias("restricted", 1350.0, 2.0) / mp_bias("post-processed", 1350.0, 1.0)
             got = bias_ratio_restricted_vs_bit(1350.0, 1.0, 1.0)
             assert math.isfinite(got)
             assert abs(got - exact) <= 1e-12 * exact
@@ -304,8 +291,7 @@ class TestSpecBias:
         spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b)
         for q in (1e-200, 0.7, 3.0, 1e200):
             with mpmath.workdps(50):
-                b_ = mpmath.mpf(b)
-                exact = mpmath.mpf(q) * b_**2 / (1 - b_**2)
+                exact = mp_bias("multiplicative", q, b)
                 error = abs(mpmath.mpf(closed_form_bias(spec, q)) - exact)
                 assert error <= 4 * 2.0**-53 * exact + 2.0**-1074
 
@@ -316,8 +302,7 @@ class TestSpecBias:
         spec = MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, b), b)
         for q in (0.7, 3.0):
             with mpmath.workdps(50):
-                b_ = mpmath.mpf(b)
-                exact = mpmath.mpf(q) * b_**2 / (1 - b_**2)
+                exact = mp_bias("multiplicative", q, b)
                 error = abs(mpmath.mpf(quadrature_bias(spec, q)) - exact)
                 assert error <= 1e-13 * exact
 
@@ -359,19 +344,6 @@ class TestPlainQuadrature:
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
-def _mp_additive_bias(variant, q, b, alpha):
-    """Bias at 50 digits: 0 (plain), the translated ramp, or restriction."""
-    with mpmath.workdps(50):
-        q, b, alpha = mpmath.mpf(q), mpmath.mpf(b), mpmath.mpf(alpha)
-        if variant is Variant.PLAIN:
-            return mpmath.mpf(0)
-        if variant is Variant.RESTRICTED:
-            return (q + b) / (2 * mpmath.exp(q / b) - 1)
-        if q >= alpha:
-            return b / 2 * mpmath.exp((alpha - q) / b) - alpha
-        return b / 2 * mpmath.exp((q - alpha) / b) - q
-
-
 class TestTinyScaleQuadrature:
     """quadrature_bias of the additive variants stays relative at tiny b;
     quad's absolute tolerance 1e-12 once cost 1.2e-10 relative at b <= 1e-12."""
@@ -389,7 +361,7 @@ class TestTinyScaleQuadrature:
         pp = PostProcessor.translated_ramp(alpha) if variant is Variant.POST_PROCESSED else None
         spec = MechanismSpec(variant, PrivacyParams(1.0, b), b, pp)
         for q in (0.0, 0.5 * b, 2.0 * b, 10.0 * b):
-            exact = _mp_additive_bias(variant, q, b, alpha)
+            exact = mp_bias(variant.value, q, b, alpha)
             error = abs(mpmath.mpf(quadrature_bias(spec, q)) - exact)
             assert error <= 1e-15 * (q + b), (q, float(error / (q + b)))
 
@@ -422,10 +394,6 @@ class TestQuadratureEngine:
         for q in (0.0, 1.0, 5.0):
             assert abs(expectation_postprocessed_quadrature(pp, q, 1.0)) <= 1e-15 * (q + 1.0)
 
-    @staticmethod
-    def _softplus(x):
-        return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
     def test_softplus_expectation_minus_q_is_its_quadrature_bias(self):
         # E - q lost up to 1.06e-10(q + b) when E was integrated whole and q
         # subtracted afterwards; now only the rounding of q + bias remains.
@@ -433,24 +401,16 @@ class TestQuadratureEngine:
         for _ in range(40):
             b = float(10 ** rng.uniform(-2, 2))
             q = b * float(rng.uniform(0.0, 12.0))
-            pp = PostProcessor.custom(self._softplus, b)
+            pp = PostProcessor.custom(softplus, b)
             bias = quadrature_bias(make_postprocessed_mechanism(PrivacyParams(1.0, b), pp), q)
             assert abs(expectation_postprocessed_quadrature(pp, q, b) - q - bias) <= 2.0**-52 * (q + abs(bias))
 
     @pytest.mark.parametrize("b", [0.5, 1.0])
     def test_softplus_expectation_minus_q_matches_mpmath(self, b):
-        pp = PostProcessor.custom(self._softplus, b)
+        pp = PostProcessor.custom(softplus, b)
         rng = np.random.default_rng(1)
         for q in (b * rng.uniform(0.0, 12.0, 30)).tolist():
-            with mpmath.workdps(30):
-                q_, b_ = mpmath.mpf(q), mpmath.mpf(b)
-
-                def excess(z):
-                    x = q_ + z
-                    value = mpmath.log1p(mpmath.exp(x)) if x < 0 else x + mpmath.log1p(mpmath.exp(-x))
-                    return (value - q_) * mpmath.exp(-abs(z) / b_) / (2 * b_)
-
-                exact = mpmath.quad(excess, [-mpmath.inf, -q_, 0, mpmath.inf])
+            exact = mp_softplus_bias(q, b)
             error = abs(mpmath.mpf(expectation_postprocessed_quadrature(pp, q, b) - q) - exact)
             assert error <= 1e-15 * (q + b), (q, float(error / (q + b)))
 

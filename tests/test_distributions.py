@@ -13,7 +13,7 @@ from nonneg_dp.distributions import (
 )
 from nonneg_dp.mechanisms import PrivacyParams, make_laplace_mechanism, sample_mechanism
 
-from restricted_law import laplace_cdf, laplace_pdf, pointwise
+from reference import laplace_cdf, laplace_pdf, pointwise
 
 
 def _plain(b):
@@ -40,7 +40,7 @@ class TestLaplaceDist:
 
 
 class TestPdf:
-    """The reference density of ``restricted_law``, which other tests compare against."""
+    """The reference density of ``tests/reference.py``, which other tests compare against."""
 
     def test_peak_value(self):
         assert laplace_pdf(LaplaceDist(0.0, 1.0), 0.0) == 0.5
@@ -66,7 +66,7 @@ class TestPdf:
 
 
 class TestCdf:
-    """The reference cdf of ``restricted_law``, which other tests compare against."""
+    """The reference cdf of ``tests/reference.py``, which other tests compare against."""
 
     def test_half_at_mean(self):
         assert laplace_cdf(LaplaceDist(0.0, 1.0), 0.0) == 0.5
@@ -199,6 +199,17 @@ class TestRngState:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             RngState(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # 1.5 was the stream of seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RngState(seed)
+
+    def test_numpy_integer_seed(self):
+        for seed in (np.uint64(5), np.int32(5)):
+            np.testing.assert_array_equal(RngState(seed).uniform(100), RngState(5).uniform(100))
+            assert type(RngState(seed).seed) is int
 
 
 class TestSampling:

@@ -34,8 +34,7 @@ from nonneg_dp.mechanisms import (
 )
 from nonneg_dp.verify import certify_dp_densities
 
-from piecewise_linear import wavy_ramp
-from restricted_law import laplace_cdf, laplace_pdf, pointwise, restricted_cdf, restricted_pdf
+from reference import laplace_cdf, laplace_pdf, pointwise, restricted_cdf, restricted_pdf, softplus, wavy_ramp
 
 
 class _FixedUniform:
@@ -101,9 +100,6 @@ class TestPostProcessor:
     def test_custom_softplus_accepted_at_every_scale(self, scale):
         # The benchmark's post-processor, vetted at scale 1 by `release` and
         # at log-uniform scales in [1e-2, 1e2] by `analysis`.
-        def softplus(x):
-            return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
         assert PostProcessor.custom(softplus, scale).func is softplus
 
     def test_custom_rejects_negative_function(self):
@@ -126,10 +122,12 @@ class TestPostProcessor:
             PostProcessor.custom(lambda x: max(x, 0.0), scale=1.0, kinks=(0.0, kink))
 
     def test_negative_output_caught_at_apply_time(self):
-        # dips below zero only beyond the construction spot-check grid
-        pp = PostProcessor.custom(lambda x: max(x, 0.0) if x <= 25.0 else -1.0, scale=1.0)
-        with pytest.raises(ValueError, match="not nonnegative"):
-            apply_postprocessor(pp, 30.0)
+        # Leaves [0, inf) only beyond the construction spot-check grid; nan
+        # and inf, past the reach of the settled integrals too, were released.
+        for bad, edge, x in ((-1.0, 25.0, 30.0), (math.nan, 1e4, 2e4), (math.inf, 1e4, 2e4)):
+            pp = PostProcessor.custom(lambda v, bad=bad, edge=edge: max(v, 0.0) if v <= edge else bad, 1.0)
+            with pytest.raises(ValueError, match="not nonnegative"):
+                apply_postprocessor(pp, x)
 
     def test_vectorized_application(self):
         pp = PostProcessor.translated_ramp(0.5)
@@ -548,17 +546,13 @@ class TestSampleMechanism:
         assert abs(draws.mean() - 5.0) < 0.005
 
 
-def _softplus(x):
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
 def _scalar_path_specs():
     privacy = PrivacyParams(0.8, 1.0)
     return {
         "plain": make_laplace_mechanism(privacy),
         "ramp": make_postprocessed_mechanism(privacy, PostProcessor.ramp()),
         "translated-ramp": make_postprocessed_mechanism(privacy, PostProcessor.translated_ramp(0.44)),
-        "softplus": make_postprocessed_mechanism(privacy, PostProcessor.custom(_softplus, 1.25)),
+        "softplus": make_postprocessed_mechanism(privacy, PostProcessor.custom(softplus, 1.25)),
         "restricted": make_restricted_mechanism(privacy),
         "multiplicative": make_multiplicative_mechanism(1.0, 0.3),
     }
@@ -616,6 +610,12 @@ class TestScalarPath:
     def test_postprocessor_matches_array_form(self, name):
         pp = SCALAR_PATH_SPECS[name].postprocessor
         xs = np.array([-1e308, -3.0, -0.0, 0.0, 0.44, 0.4400000000000001, 2.5, 1e308, math.nan])
+        if pp.kind == "custom":
+            # softplus(nan) is nan, which no custom output may be.
+            for arg in (math.nan, xs):
+                with pytest.raises(ValueError, match="not nonnegative"):
+                    apply_postprocessor(pp, arg)
+            xs = xs[:-1]
         scalar = np.array([apply_postprocessor(pp, float(x)) for x in xs])
         batched = apply_postprocessor(pp, xs)
         np.testing.assert_array_equal(scalar, batched)
@@ -658,10 +658,15 @@ class TestScalarPath:
                 restricted_pdf(LaplaceDist(0.0, 1.0), arg)
 
     def test_negative_custom_output_error_matches_array_form(self):
-        pp = PostProcessor.custom(lambda x: max(x, 0.0) if x <= 25.0 else -1.0, scale=1.0)
-        for arg in (30.0, np.float64(30.0), np.array([1.0, 30.0])):
-            with pytest.raises(ValueError, match="not nonnegative"):
-                apply_postprocessor(pp, arg)
+        for bad, edge, x in ((-1.0, 25.0, 30.0), (math.nan, 1e4, 2e4), (math.inf, 1e4, 2e4)):
+            pp = PostProcessor.custom(lambda v, bad=bad, edge=edge: max(v, 0.0) if v <= edge else bad, 1.0)
+            spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), pp)
+            for call in (lambda: apply_postprocessor(pp, x), lambda: apply_postprocessor(pp, np.float64(x)),
+                         lambda: apply_postprocessor(pp, np.array([1.0, x])),
+                         lambda: sample_mechanism(spec, 2 * x, RngState(1)),
+                         lambda: sample_mechanism(spec, 2 * x, RngState(1), size=3)):
+                with pytest.raises(ValueError, match="not nonnegative"):
+                    call()
 
 
 def _one_batch(spec, q, rng, size):

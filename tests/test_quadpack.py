@@ -31,7 +31,7 @@ from nonneg_dp.mechanisms import (
     make_restricted_mechanism,
 )
 from nonneg_dp.verify import check_divergence_log_laplace
-from piecewise_linear import wavy_ramp
+from reference import softplus, wavy_ramp
 
 # quad's message for each non-zero ier.
 _MESSAGES = {
@@ -79,10 +79,6 @@ def _power(exponent):
     return lambda x: abs(x) ** exponent if x else 0.0
 
 
-def _softplus(x):
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
 def _biases(make, qs, scale=1.0):
     spec = make(PrivacyParams(1.0, scale))
     return lambda: [quadrature_bias(spec, q) for q in qs]
@@ -113,7 +109,7 @@ CORPUS = {
                      lambda p: make_postprocessed_mechanism(p, PostProcessor.ramp()),
                      lambda p: make_postprocessed_mechanism(p, PostProcessor.translated_ramp(3.5e-4)))],
     # The V+ check at T = 20, 40, 80, ...
-    "v-plus-softplus": lambda: PostProcessor.custom(_softplus, 1.0),
+    "v-plus-softplus": lambda: PostProcessor.custom(softplus, 1.0),
     "v-plus-square": lambda: PostProcessor.custom(lambda x: x * x, 1.0),
     "v-plus-power-0.4": lambda: PostProcessor.custom(_power(-0.4), 1.0),
     # f^2 is not integrable at 0: ier 5, probably divergent.
@@ -128,7 +124,7 @@ CORPUS = {
         PostProcessor(kind="custom", func=_power(-1.0)), 1.0, 1.0),
     "mean-power-1.2-at-zero": lambda: expectation_postprocessed_quadrature(
         PostProcessor(kind="custom", func=_power(-1.2)), 0.0, 1.0),
-    "softplus-bias": _biases(lambda p: make_postprocessed_mechanism(p, PostProcessor.custom(_softplus, 2.0)),
+    "softplus-bias": _biases(lambda p: make_postprocessed_mechanism(p, PostProcessor.custom(softplus, 2.0)),
                              QS, 2.0),
     "interpolant-161": _interpolant(161),
     "interpolant-401": _interpolant(401),

@@ -3,7 +3,6 @@ import random
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -35,7 +34,7 @@ from nonneg_dp.verify import (
     mc_bias,
 )
 
-from restricted_law import laplace_cdf, pointwise, restricted_cdf
+from reference import exact_log_ratio, laplace_cdf, pointwise, restricted_cdf, truncated_exp_moment
 
 
 class TestCertifyDpDensities:
@@ -105,13 +104,6 @@ class TestCertifyDpDensities:
             adjacent_densities(spec)
 
 
-def _exact_log_ratio(variant, delta, b):
-    """sup of the adjacent log density ratio at the doubles delta and b, 50 digits."""
-    with mpmath.workdps(50):
-        s = mpmath.mpf(delta) / mpmath.mpf(b)
-        return float(s + mpmath.log(2 - mpmath.exp(-s)) if variant is Variant.RESTRICTED else s)
-
-
 class TestExactCertificate:
     """The certificate is the exact supremum of the log ratio, Delta/b,
     s + log(2 - e^(-s)) with s = Delta/b, or K/b, over the whole range of b."""
@@ -129,7 +121,7 @@ class TestExactCertificate:
         log_a, log_b, points = adjacent_densities(spec)
         assert points == (0.0, privacy.sensitivity)
         cert = certify_dp_densities(log_a, log_b, guaranteed_privacy_level(spec), points)
-        exact = _exact_log_ratio(variant, privacy.sensitivity, spec.scale)
+        exact = exact_log_ratio(privacy.sensitivity, spec.scale, variant is Variant.RESTRICTED)
         assert abs(cert.max_log_ratio_observed - exact) <= 4 * math.ulp(exact)
         assert cert.passed
 
@@ -205,6 +197,21 @@ class TestMcBias:
         spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
         with pytest.raises(ValueError):
             mc_bias(spec, 0.0, 99, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_custom_output_that_is_not_finite_is_value_error(self, bad):
+        # Passes the vetting grid, which ends at 20; the estimate was nan or inf.
+        pp = PostProcessor.custom(lambda x: max(x, 0.0) if x < 1e4 else bad, 1.0)
+        spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), pp)
+        with pytest.raises(ValueError, match="not nonnegative"):
+            mc_bias(spec, 2e4, 1000, seed=1)
+
+    def test_seed_that_is_not_an_integer_is_value_error(self):
+        # 1.5 drew the stream of seed 1 and reported seed=1.5.
+        spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mc_bias(spec, 0.0, 1000, 1.5)
+        assert mc_bias(spec, 0.0, 1000, np.uint64(5)) == mc_bias(spec, 0.0, 1000, 5)
 
     @pytest.mark.parametrize("q_factor", [0.0, 0.5, 1.0, 5.0])
     def test_agrees_with_closed_forms(self, q_factor):
@@ -354,6 +361,16 @@ class TestCouplingBias:
         with pytest.raises(ValueError):
             coupling_bias_lower_bound(LaplaceDist(0.0, 1.0), 99)
 
+    @pytest.mark.parametrize("grid", [1000.5, 1000.0, "1000"])
+    def test_rejects_a_grid_that_is_not_an_integer(self, grid):
+        # 1000.5 ran 1001 points divided by 1001.5.
+        with pytest.raises(ValueError, match="omega grid must be an integer"):
+            coupling_bias_lower_bound(LaplaceDist(0.0, 1.0), grid)
+
+    def test_numpy_integer_grid(self):
+        base = LaplaceDist(1.0, 1.0)
+        assert coupling_bias_lower_bound(base, np.int64(1000)) == coupling_bias_lower_bound(base, 1000)
+
     def test_rejects_negative_location(self):
         # At -40 it returned 35.97 where the gap is 41.
         with pytest.raises(ValueError, match="location"):
@@ -371,10 +388,8 @@ class TestDivergenceCheck:
     def test_boundary_scale_grows_linearly(self):
         report = check_divergence_log_laplace(1.0, (10, 20, 40, 80))
         assert report.strictly_increasing
-        # analytic truncated value is (1/2)((1 - e^{-2T})/2 + T)
         for radius, value in zip(report.radii, report.values):
-            expected = 0.5 * ((1 - math.exp(-2 * radius)) / 2 + radius)
-            assert value == pytest.approx(expected, rel=1e-9)
+            assert value == pytest.approx(truncated_exp_moment(1.0, radius), rel=1e-9)
         assert report.growth_factor == pytest.approx(40.25 / 5.25, rel=1e-9)
         assert not report.converged
 
@@ -401,9 +416,7 @@ class TestDivergenceCheck:
         # 4.4e-36), not converged, and at b <= 1e-6 a ZeroDivisionError.
         report = check_divergence_log_laplace(b, (1.0, 2.0, 4.0))
         for radius, value in zip(report.radii, report.values):
-            expected = 0.5 * (-math.expm1(-radius * (1 + b) / b) / (1 + b)
-                              - math.expm1(-radius * (1 - b) / b) / (1 - b))
-            assert value == pytest.approx(expected, rel=1e-9)
+            assert value == pytest.approx(truncated_exp_moment(b, radius), rel=1e-9)
         assert report.converged == (b <= 1e-4)
         assert report.diverges == (b > 1)
 
