@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 from . import bias as bias_mod
 from .distributions import _even_grid, np
@@ -136,10 +135,11 @@ def _emit_scalar(args: argparse.Namespace, record: dict) -> None:
 def _build_spec(args: argparse.Namespace) -> MechanismSpec:
     if args.mechanism == "multiplicative" and args.kbound is None:
         raise UsageError("--mechanism multiplicative needs --kbound")
-    with warnings.catch_warnings():  # the replaced spec warns, at the scale in use
+    with warnings.catch_warnings():  # the rebuilt spec warns, at the scale in use
         warnings.simplefilter("ignore")
         spec = _CONSTRUCTORS[args.mechanism](args, PrivacyParams(args.epsilon, args.sensitivity))
-    return replace(spec, scale=spec.scale if args.scale is None else args.scale)
+    scale = spec.scale if args.scale is None else args.scale
+    return MechanismSpec(spec.variant, spec.privacy, scale, spec.postprocessor)
 
 
 def _q_grid(args: argparse.Namespace) -> list[float]:

@@ -29,6 +29,7 @@ when it runs.
 ``_even_grid`` is its one evenly spaced grid, built without numpy.
 ``_require_positive`` and ``_require_nonnegative`` are the package's range checks,
 ``_require_integer`` its integer check.
+``_Value`` is the base of the package's frozen value types.
 
 ``np`` is numpy, loaded on its first attribute access, so a process that
 only evaluates closed forms never executes it; the package's other modules
@@ -43,7 +44,6 @@ import importlib.util
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -95,20 +95,51 @@ def _require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class LaplaceDist:
+class _Value:
+    """Base of a frozen value type: equality, hash and repr over the fields
+    named in ``__match_args__``, as tuples in that order, and no attribute
+    can be assigned or deleted.  A subclass's ``__init__`` checks its
+    arguments, then stores every field with one ``self.__dict__.update``;
+    ``copy.copy`` and pickling restore ``__dict__`` without calling it."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LaplaceDist(_Value):
     """Laplace law with mean ``location`` (the true query value) and scale ``scale``."""
 
     location: float
     scale: float
+    __match_args__ = ("location", "scale")
 
-    def __post_init__(self):
-        if not math.isfinite(self.location):
+    def __init__(self, location: float, scale: float):
+        if not math.isfinite(location):
             raise ValueError("location must be finite")
-        _require_positive("scale", self.scale)
+        _require_positive("scale", scale)
+        self.__dict__.update(location=location, scale=scale)
 
 
-@dataclass
 class RngState:
     """Deterministic uniform stream.
 
@@ -119,14 +150,16 @@ class RngState:
     each its own seed instead.
     """
 
-    seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
+    __match_args__ = ("seed",)
 
-    def __post_init__(self):
-        self.seed = _require_integer("seed", self.seed)
+    def __init__(self, seed: int):
+        self.seed = _require_integer("seed", seed)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+
+    def __repr__(self) -> str:
+        return f"RngState(seed={self.seed!r})"
 
     def uniform(self, size: int | None = None, out: np.ndarray | None = None):
         """One uniform draw in (0, 1), or an array of ``size`` draws, written

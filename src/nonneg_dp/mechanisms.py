@@ -27,11 +27,11 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .distributions import (LaplaceDist, RngState, _even_grid, _integrate, _quantile, _quantile_in_place,
-                            _require_nonnegative, _require_positive, _scalar_quantile, np)
+                            _require_integer, _require_nonnegative, _require_positive, _scalar_quantile,
+                            _Value, np)
 
 __all__ = [
     "PrivacyParams",
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
-class PrivacyParams:
+class PrivacyParams(_Value):
     """Privacy budget epsilon and query sensitivity; implies scale = sensitivity/epsilon.
 
     For multiplicative mechanisms ``sensitivity`` holds the relative bound K,
@@ -62,11 +61,11 @@ class PrivacyParams:
 
     epsilon: float
     sensitivity: float
+    __match_args__ = ("epsilon", "sensitivity")
 
     def __init__(self, epsilon: float, sensitivity: float):
         _require_positive("epsilon", epsilon)
         _require_nonnegative("sensitivity", sensitivity)
-        # Frozen: one __dict__ update stores the fields past the blocked __setattr__.
         self.__dict__.update(epsilon=epsilon, sensitivity=sensitivity)
 
     @property
@@ -112,19 +111,20 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
     raise ValueError("post-processor not square-integrable under the Laplace weight")
 
 
-@dataclass(frozen=True)
-class PostProcessor:
+class PostProcessor(_Value):
     """A nonnegative deterministic function applied to mechanism outputs.
 
-    Use the classmethod constructors.  Every output must be finite and
-    nonnegative, each time the function is applied: a custom one that
-    returns a negative value, nan or inf is a ValueError there.  ``custom``
-    functions are vetted at construction: their outputs are spot-checked on
-    a grid and square-integrability under the exp(-|x|/scale) weight is
-    required, which guarantees finite first and second output moments at
-    every query value for noise of that ``scale``.  A spec sampling at
-    another scale is not vetted again: exp(x/3) passes at scale 1, but at
-    scale 2 its variance is infinite.
+    Use the classmethod constructors.  ``kind`` is "translated-ramp" or
+    "custom", and a custom one has a callable ``func``; any other is a
+    ValueError.  Every output must be finite and nonnegative, each time the
+    function is applied: a custom one that returns a negative value, nan or
+    inf is a ValueError there.  ``custom`` functions are vetted at
+    construction: their outputs are spot-checked on a grid and
+    square-integrability under the exp(-|x|/scale) weight is required, which
+    guarantees finite first and second output moments at every query value
+    for noise of that ``scale``.  A spec sampling at another scale is not
+    vetted again: exp(x/3) passes at scale 1, but at scale 2 its variance is
+    infinite.
 
     ``kinks`` are the points where the function is not smooth, sorted: alpha
     for the translated ramp, those declared for a custom one.  Every integral
@@ -132,9 +132,18 @@ class PostProcessor:
     """
 
     kind: str
-    alpha: float = 0.0
-    func: Callable[[float], float] | None = None
-    kinks: tuple[float, ...] = ()
+    alpha: float
+    func: Callable[[float], float] | None
+    kinks: tuple[float, ...]
+    __match_args__ = ("kind", "alpha", "func", "kinks")
+
+    def __init__(self, kind: str, alpha: float = 0.0, func: Callable[[float], float] | None = None,
+                 kinks: tuple[float, ...] = ()):
+        if kind not in ("translated-ramp", "custom"):
+            raise ValueError(f"post-processor kind must be 'translated-ramp' or 'custom', got {kind!r}")
+        if kind == "custom" and not callable(func):
+            raise ValueError(f"a custom post-processor needs a callable func, got {func!r}")
+        self.__dict__.update(kind=kind, alpha=alpha, func=func, kinks=kinks)
 
     @classmethod
     def ramp(cls) -> "PostProcessor":
@@ -203,12 +212,12 @@ _SMALLEST_POSITIVE = math.ulp(0.0)
 _RAMP = PostProcessor.translated_ramp(0.0)
 
 
-@dataclass(frozen=True, init=False)
-class MechanismSpec:
+class MechanismSpec(_Value):
     """One mechanism family at the Laplace scale ``scale`` it uses, parameterized
     by the true query value at sampling time.  Its privacy level
-    (:func:`guaranteed_privacy_level`) and ``warning`` follow ``scale``, also
-    through ``dataclasses.replace``; a spec warns when it is made.  It has a
+    (:func:`guaranteed_privacy_level`) and ``warning`` follow ``scale``: the
+    spec ``MechanismSpec(spec.variant, spec.privacy, b, spec.postprocessor)``
+    samples at scale b, and a spec warns when it is made.  It has a
     ``postprocessor`` exactly when it is post-processed.  ``scale`` and
     ``privacy.scale`` are each 0 or a normal double: a subnormal one has lost
     bits, so the level Delta/b it gives can exceed epsilon."""
@@ -216,7 +225,8 @@ class MechanismSpec:
     variant: Variant
     privacy: PrivacyParams
     scale: float
-    postprocessor: PostProcessor | None = None
+    postprocessor: PostProcessor | None
+    __match_args__ = ("variant", "privacy", "scale", "postprocessor")
 
     def __init__(self, variant: Variant, privacy: PrivacyParams, scale: float,
                  postprocessor: PostProcessor | None = None):
@@ -228,7 +238,6 @@ class MechanismSpec:
             raise ValueError(f"{name} must be 0 or at least {_SMALLEST_NORMAL}, got {b}")
         if (postprocessor is None) == (variant is _POST_PROCESSED):
             raise ValueError("a spec has a post-processor exactly when it is post-processed")
-        # Frozen: one __dict__ update stores the fields past the blocked __setattr__.
         self.__dict__.update(variant=variant, privacy=privacy, scale=scale,
                              postprocessor=postprocessor)
         if (warning := self.warning) is not None:
@@ -410,6 +419,7 @@ def sample_mechanism(spec: MechanismSpec, q: float, rng: RngState, size: int | N
         else:
             value = _scalar_quantile(q, b, rng.uniform())
         return value if post is None else apply_postprocessor(post, value)
+    size = _require_integer("size", size)
     out = np.empty(size)
     if b == 0.0 and not multiplicative:
         out.fill(float(q))

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+
+from .distributions import _require_integer, _Value
 
 __all__ = [
     "QueryKind",
@@ -42,45 +43,50 @@ class QueryKind(enum.Enum):
 _COUNT, _SUM, _MEAN = QueryKind
 
 
-@dataclass(frozen=True)
-class QueryDescriptor:
+class QueryDescriptor(_Value):
     """A query statistic plus the parameters needed to evaluate it.
 
     ``threshold`` applies to count queries only.  ``count_floor`` optionally
-    declares a guaranteed minimum count (at least 1), without which the
-    relative bound of a count query is infinite.
+    declares a guaranteed minimum count, an integer of at least 1, without
+    which the relative bound of a count query is infinite.
     """
 
     kind: QueryKind
-    threshold: float = 0.0
-    count_floor: int | None = None
+    threshold: float
+    count_floor: int | None
+    __match_args__ = ("kind", "threshold", "count_floor")
 
-    def __post_init__(self):
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
-        if self.count_floor is not None and self.count_floor < 1:
-            raise ValueError("count_floor must be at least 1")
+    def __init__(self, kind: QueryKind, threshold: float = 0.0, count_floor: int | None = None):
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
+        if count_floor is not None:
+            count_floor = _require_integer("count_floor", count_floor)
+            if count_floor < 1:
+                raise ValueError("count_floor must be at least 1")
+        self.__dict__.update(kind=kind, threshold=threshold, count_floor=count_floor)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Value):
     """Ordered records constrained to [lower, upper], or (lower, upper] when
-    ``lower_open`` is set."""
+    ``lower_open`` is set.  ``records`` is any iterable, kept as a tuple."""
 
     records: tuple[float, ...]
     lower: float
     upper: float
-    lower_open: bool = False
+    lower_open: bool
+    __match_args__ = ("records", "lower", "upper", "lower_open")
 
-    def __post_init__(self):
-        if not (self.lower <= self.upper):
+    def __init__(self, records, lower: float, upper: float, lower_open: bool = False):
+        records = tuple(records)
+        if not (lower <= upper):
             raise ValueError("bounds must satisfy lower <= upper")
-        for r in self.records:
+        for r in records:
             if not math.isfinite(r):
                 raise ValueError("non-finite record")
-            inside = (self.lower < r) if self.lower_open else (self.lower <= r)
-            if not (inside and r <= self.upper):
+            inside = (lower < r) if lower_open else (lower <= r)
+            if not (inside and r <= upper):
                 raise ValueError(f"record {r} outside declared bounds")
+        self.__dict__.update(records=records, lower=lower, upper=upper, lower_open=lower_open)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -21,11 +21,10 @@ law to misbehave reliably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .distributions import (LaplaceDist, RngState, _integrate, _require_integer, _require_nonnegative,
-                            _require_positive, laplace_quantile, log_laplace_mgf, np)
+                            _require_positive, _Value, laplace_quantile, log_laplace_mgf, np)
 from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
 __all__ = [
@@ -48,27 +47,37 @@ _DIVERGENCE_GROWTH = 10.0
 _CONVERGENCE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DpCertificate:
+class DpCertificate(_Value):
+    """Result of :func:`certify_dp_densities`: whether the largest log density
+    ratio observed over the grid stays within the claimed level."""
+
     epsilon_claimed: float
     max_log_ratio_observed: float
     grid_description: str
     passed: bool
+    __match_args__ = ("epsilon_claimed", "max_log_ratio_observed", "grid_description", "passed")
+
+    def __init__(self, epsilon_claimed: float, max_log_ratio_observed: float, grid_description: str,
+                 passed: bool):
+        self.__dict__.update(epsilon_claimed=epsilon_claimed, max_log_ratio_observed=max_log_ratio_observed,
+                             grid_description=grid_description, passed=passed)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Value):
     """Monte Carlo bias estimate: mean of draws minus the true value."""
 
     mean: float
     stderr: float
     n: int
     seed: int
-    warning: str | None = None
+    warning: str | None
+    __match_args__ = ("mean", "stderr", "n", "seed", "warning")
+
+    def __init__(self, mean: float, stderr: float, n: int, seed: int, warning: str | None = None):
+        self.__dict__.update(mean=mean, stderr=stderr, n=n, seed=seed, warning=warning)
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(_Value):
     """Truncated integrals of the exp-transformed Laplace weight at growing radii.
 
     For scale >= 1 the values increase without bound; ``diverges`` records
@@ -90,6 +99,14 @@ class DivergenceReport:
     diverges: bool
     limit: float
     converged: bool
+    __match_args__ = ("scale", "radii", "values", "strictly_increasing", "growth_factor", "diverges",
+                      "limit", "converged")
+
+    def __init__(self, scale: float, radii: tuple[float, ...], values: tuple[float, ...],
+                 strictly_increasing: bool, growth_factor: float, diverges: bool, limit: float,
+                 converged: bool):
+        self.__dict__.update(scale=scale, radii=radii, values=values, strictly_increasing=strictly_increasing,
+                             growth_factor=growth_factor, diverges=diverges, limit=limit, converged=converged)
 
 
 def certify_dp_densities(log_density_a: Callable[[float], float], log_density_b: Callable[[float], float],
@@ -127,6 +144,7 @@ def mc_bias(spec: MechanismSpec, q: float, n: int, seed: int) -> McEstimate:
     squared deviation or the mean underflows (draws below about 1e-154, where
     the square of a deviation leaves the normal range), both are taken again
     over the draws scaled by an exact power of two and scaled back."""
+    n = _require_integer("n", n)
     if n < 100:
         raise ValueError("need at least 100 draws for a standard error")
     draws = sample_mechanism(spec, q, RngState(seed), size=n)

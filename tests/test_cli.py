@@ -643,17 +643,21 @@ class TestErrorHandling:
 class TestColdImport:
     """A fresh process never loads scipy, loads the quadrature only for the
     subcommands that integrate, and executes numpy only for those that
-    build arrays."""
+    build arrays.  Neither the import nor a subcommand that builds no array
+    loads ``dataclasses`` or ``inspect``, which cost a cold process about 10 ms."""
 
     # numpy.* submodules exist only once numpy has executed; the lazily
-    # loaded numpy entry itself does not count.
+    # loaded numpy entry itself does not count.  Modules already loaded at
+    # start-up, as by site, do not count either.
     SCRIPT = (
         "import json, sys\n"
+        "before = set(sys.modules)\n"
         "import nonneg_dp, nonneg_dp.cli\n"
         "code = nonneg_dp.cli.main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules\n"
         "                               if m.split('.')[0] == 'scipy' or m == 'nonneg_dp.quadpack'),\n"
-        "                  sorted(m for m in sys.modules if m.startswith('numpy.'))]))\n"
+        "                  sorted(m for m in sys.modules if m.startswith('numpy.')),\n"
+        "                  sorted({'dataclasses', 'inspect'} & set(sys.modules) - before)]))\n"
     )
 
     # Subcommands whose every number is a scalar closed form.
@@ -664,7 +668,18 @@ class TestColdImport:
         env.pop("NONNEG_DP_SEED", None)
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv, "--out", str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=120, check=True)
-        return json.loads(proc.stdout)   # [exit code, scipy and quadpack modules, numpy submodules loaded]
+        # [exit code, scipy and quadpack modules, numpy submodules, dataclasses and inspect loaded]
+        return json.loads(proc.stdout)
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "import nonneg_dp.cli\n"
+                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv", [
         ("optimal-alpha",),
@@ -676,17 +691,19 @@ class TestColdImport:
         records = tmp_path / "records.txt"
         records.write_text("0.25\n0.5\n")
         argv = [arg.replace("{records}", str(records)) for arg in argv]
-        code, quadrature_modules, numpy_modules = self._fresh(tmp_path, *argv)
+        code, quadrature_modules, numpy_modules, dataclass_modules = self._fresh(tmp_path, *argv)
         assert [code, quadrature_modules] == [0, []]
         assert (numpy_modules == []) == (argv[0] in self.NUMPY_FREE)
+        if argv[0] in self.NUMPY_FREE:
+            assert dataclass_modules == []
 
     @pytest.mark.parametrize("mechanism", [("restricted",), ("multiplicative", "--kbound", "0.3")],
                              ids=["restricted", "multiplicative"])
     def test_every_certificate_loads_neither_library(self, mechanism, tmp_path):
-        assert self._fresh(tmp_path, "verify-dp", "--mechanism", *mechanism) == [0, [], []]
+        assert self._fresh(tmp_path, "verify-dp", "--mechanism", *mechanism) == [0, [], [], []]
 
     def test_log_grid_loads_numpy_without_the_quadrature(self, tmp_path):
-        code, quadrature_modules, numpy_modules = self._fresh(tmp_path, "compare", "--q-log", "--q-min", "1")
+        code, quadrature_modules, numpy_modules, _ = self._fresh(tmp_path, "compare", "--q-log", "--q-min", "1")
         assert [code, quadrature_modules] == [0, []]
         assert numpy_modules
 

@@ -2,7 +2,6 @@ import math
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,6 +76,17 @@ class TestPostProcessor:
     def test_rejects_negative_translation(self):
         with pytest.raises(ValueError):
             PostProcessor.translated_ramp(-0.5)
+
+    @pytest.mark.parametrize("args, message", [
+        (("ramp",), "^post-processor kind must be 'translated-ramp' or 'custom', got 'ramp'$"),
+        (("custom",), "^a custom post-processor needs a callable func, got None$"),
+        (("custom", 0.0, 1.0), "^a custom post-processor needs a callable func, got 1.0$"),
+    ])
+    def test_rejects_a_form_it_cannot_apply(self, args, message):
+        # Each was built, and apply_postprocessor then raised
+        # TypeError: 'NoneType' object is not callable.
+        with pytest.raises(ValueError, match=message):
+            PostProcessor(*args)
 
     def test_ramp_is_one_shared_translated_ramp_at_zero(self):
         assert PostProcessor.ramp() == PostProcessor.translated_ramp(0.0)
@@ -201,6 +211,11 @@ def _made_with_warnings(make):
     return spec, [str(w.message) for w in caught]
 
 
+def _at_scale(spec, scale):
+    """``spec`` built again with only its scale changed."""
+    return MechanismSpec(spec.variant, spec.privacy, scale, spec.postprocessor)
+
+
 class TestLevelAndWarningFollowScale:
     """The level and warning come from the scale in use.  At the constructors'
     scales they equal the formulas in epsilon and the sensitivity: level
@@ -244,18 +259,18 @@ class TestLevelAndWarningFollowScale:
     def test_replaced_scale_sets_level_and_warning(self):
         privacy = PrivacyParams(0.8, 1.5)
         plain = make_laplace_mechanism(privacy)
-        assert guaranteed_privacy_level(replace(plain, scale=2.5)) == pytest.approx(0.6, rel=2**-52)
+        assert guaranteed_privacy_level(_at_scale(plain, 2.5)) == pytest.approx(0.6, rel=2**-52)
         restricted = make_restricted_mechanism(PrivacyParams(0.5, 1.0))
-        assert guaranteed_privacy_level(replace(restricted, scale=2.5)) == pytest.approx(0.8, rel=2**-52)
+        assert guaranteed_privacy_level(_at_scale(restricted, 2.5)) == pytest.approx(0.8, rel=2**-52)
         mult = make_multiplicative_mechanism(1.0, 0.3)
-        assert guaranteed_privacy_level(replace(mult, scale=2.5)) == pytest.approx(0.12, rel=2**-52)
-        spec, caught = _made_with_warnings(lambda: replace(mult, scale=1.5))
+        assert guaranteed_privacy_level(_at_scale(mult, 2.5)) == pytest.approx(0.12, rel=2**-52)
+        spec, caught = _made_with_warnings(lambda: _at_scale(mult, 1.5))
         assert spec.warning == _MEAN_INFINITE and caught == [_MEAN_INFINITE]
-        spec, caught = _made_with_warnings(lambda: replace(mult, scale=0.6))
+        spec, caught = _made_with_warnings(lambda: _at_scale(mult, 0.6))
         assert spec.warning == _VARIANCE_INFINITE and caught == [_VARIANCE_INFINITE]
         with pytest.warns(UserWarning):
             divergent = make_multiplicative_mechanism(1.0, 1.5)
-        spec, caught = _made_with_warnings(lambda: replace(divergent, scale=0.3))
+        spec, caught = _made_with_warnings(lambda: _at_scale(divergent, 0.3))
         assert spec.warning is None and caught == []
 
     def test_zero_sensitivity_level(self):
@@ -266,16 +281,15 @@ class TestLevelAndWarningFollowScale:
             restricted = make_restricted_mechanism(PrivacyParams(0.7, 0.0))
         assert guaranteed_privacy_level(plain) == 0.0
         assert guaranteed_privacy_level(restricted) == 0.0
-        noisy, caught = _made_with_warnings(lambda: replace(plain, scale=0.5))
+        noisy, caught = _made_with_warnings(lambda: _at_scale(plain, 0.5))
         assert guaranteed_privacy_level(noisy) == 0.0
         assert noisy.warning is None and caught == []
         with pytest.warns(UserWarning, match="degenerate"):
-            noiseless = replace(make_laplace_mechanism(PrivacyParams(0.7, 1.0)), scale=0.0)
+            noiseless = _at_scale(make_laplace_mechanism(PrivacyParams(0.7, 1.0)), 0.0)
         assert guaranteed_privacy_level(noiseless) == math.inf
 
     def test_spec_has_only_its_four_fields(self):
-        assert [f.name for f in fields(MechanismSpec)] == ["variant", "privacy", "scale",
-                                                            "postprocessor"]
+        assert MechanismSpec.__match_args__ == ("variant", "privacy", "scale", "postprocessor")
 
     @pytest.mark.parametrize("scale", [-0.5, -1.0, math.nan, math.inf, -math.inf])
     def test_spec_rejects_a_scale_that_is_not_finite_and_nonnegative(self, scale):
@@ -284,14 +298,14 @@ class TestLevelAndWarningFollowScale:
         with pytest.raises(ValueError, match="scale"):
             MechanismSpec(Variant.MULTIPLICATIVE, PrivacyParams(1.0, 0.3), scale)
         with pytest.raises(ValueError, match="scale"):
-            replace(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale=scale)
+            _at_scale(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale)
 
     @pytest.mark.parametrize("scale", [5e-324, 1e-310, sys.float_info.min * (1.0 - 2.0**-52)])
     def test_spec_rejects_a_subnormal_scale(self, scale):
         # Such a scale has lost bits: at b = 1.6e-315 verify-dp measured a
         # level Delta/b above the epsilon the spec claimed.
         with pytest.raises(ValueError, match="^scale must be 0 or at least 2.2250738585072014e-308"):
-            replace(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale=scale)
+            _at_scale(make_laplace_mechanism(PrivacyParams(1.0, 1.0)), scale)
         with pytest.raises(ValueError, match="^scale must be 0 or at least"):
             make_laplace_mechanism(PrivacyParams(1.0, scale))
 
@@ -514,6 +528,15 @@ class TestSampleMechanism:
         batch = sample_mechanism(spec, q, _FixedUniform(u, 0.5, _TINY, u), size=4)
         np.testing.assert_array_equal(batch, scalars)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2"])
+    def test_batch_size_must_be_an_integer(self, size):
+        # 2.5 raised numpy's TypeError("expected a sequence of integers ...").
+        spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="^size must be an integer, got "):
+            sample_mechanism(spec, 0.0, RngState(1), size=size)
+        np.testing.assert_array_equal(sample_mechanism(spec, 0.0, RngState(1), size=np.int64(2)),
+                                      sample_mechanism(spec, 0.0, RngState(1), size=2))
+
     def test_multiplicative_rejects_zero_query(self):
         with pytest.warns(UserWarning):
             spec = make_multiplicative_mechanism(1.0, 0.5)
@@ -522,7 +545,7 @@ class TestSampleMechanism:
 
     def test_noiseless_multiplicative_draw_raises_before_drawing(self):
         with pytest.warns(UserWarning, match="degenerate"):
-            spec = replace(make_multiplicative_mechanism(1.0, 0.3), scale=0.0)
+            spec = _at_scale(make_multiplicative_mechanism(1.0, 0.3), 0.0)
         stream = _FixedUniform(0.5)
         with pytest.raises(ValueError, match=r"^scale must be finite and > 0, got 0\.0$"):
             sample_mechanism(spec, 2.0, stream)
@@ -689,7 +712,7 @@ def _one_batch(spec, q, rng, size):
 def _blocked_batch_specs():
     specs = dict(SCALAR_PATH_SPECS)
     with pytest.warns(UserWarning, match="degenerate"):
-        specs["noiseless"] = replace(specs["translated-ramp"], scale=0.0)
+        specs["noiseless"] = _at_scale(specs["translated-ramp"], 0.0)
     return specs
 
 

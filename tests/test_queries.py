@@ -36,6 +36,27 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset((0.5,), 1.0, 0.0)
 
+    def test_a_list_of_records_is_kept_as_a_tuple(self):
+        # The list was kept: the dataset was unhashable, and a record appended
+        # after the bounds check summed to 103 against bounds [0, 3].
+        records = [1.0, 2.0]
+        d = Dataset(records, 0.0, 3.0)
+        records.append(100.0)
+        assert d.records == (1.0, 2.0)
+        assert hash(d) == hash(Dataset((1.0, 2.0), 0.0, 3.0))
+        assert evaluate_query(SUM, d) == 3.0
+        with pytest.raises(AttributeError):
+            d.records.append(100.0)
+
+    def test_a_generator_of_records_is_read_once(self):
+        # The bounds check used the generator up, and evaluate_query raised
+        # TypeError: object of type 'generator' has no len().
+        d = Dataset((r for r in (1.0, 2.0)), 0.0, 3.0)
+        assert d.records == (1.0, 2.0)
+        assert evaluate_query(SUM, d) == 3.0 and evaluate_query(MEAN, d) == 1.5
+        with pytest.raises(ValueError, match="outside declared bounds"):
+            Dataset((r for r in (1.0, 4.0)), 0.0, 3.0)
+
 
 class TestQueryDescriptor:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
@@ -46,6 +67,18 @@ class TestQueryDescriptor:
     def test_accepts_negative_threshold(self):
         d = Dataset((0.2, 0.4), 0.0, 1.0)
         assert evaluate_query(count_above(-1.0), d) == 2.0
+
+    @pytest.mark.parametrize("floor", [1.5, 2.0, "2"])
+    def test_count_floor_must_be_an_integer(self, floor):
+        # 1.5 was accepted, and "2" raised TypeError from <.
+        with pytest.raises(ValueError, match="^count_floor must be an integer, got "):
+            QueryDescriptor(QueryKind.COUNT_ABOVE_THRESHOLD, count_floor=floor)
+
+    def test_a_numpy_count_floor_is_kept_as_an_int(self):
+        qd = QueryDescriptor(QueryKind.COUNT_ABOVE_THRESHOLD, count_floor=np.int64(4))
+        assert type(qd.count_floor) is int
+        assert qd == QueryDescriptor(QueryKind.COUNT_ABOVE_THRESHOLD, count_floor=4)
+        assert relative_bound_K(qd, (0.0, 1.0), 10) == 0.25
 
 
 class TestEvaluateQuery:

@@ -198,6 +198,14 @@ class TestMcBias:
         with pytest.raises(ValueError):
             mc_bias(spec, 0.0, 99, seed=0)
 
+    @pytest.mark.parametrize("n", [1000.5, 1000.0, "1000"])
+    def test_draw_count_must_be_an_integer(self, n):
+        # 1000.5 raised numpy's TypeError("expected a sequence of integers ...").
+        spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            mc_bias(spec, 0.0, n, seed=1)
+        assert mc_bias(spec, 0.0, np.int64(1000), seed=1) == mc_bias(spec, 0.0, 1000, seed=1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_custom_output_that_is_not_finite_is_value_error(self, bad):
         # Passes the vetting grid, which ends at 20; the estimate was nan or inf.
