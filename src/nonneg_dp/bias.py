@@ -134,18 +134,15 @@ def bias_ratio_restricted_vs_bit(q: float, epsilon: float, delta_sens: float) ->
     return 2.0 * growth * (s + 2.0) / (2.0 - math.exp(-s / 2.0))
 
 
-def _postprocessed_mean(pp: PostProcessor, q: float, b: float, offset: float) -> float:
-    """E[pp(q + noise)] - offset, integrated in t = noise/b over [-40, 40],
+def _postprocessed_mean(pp: PostProcessor, q: float, b: float) -> float:
+    """E[pp(q + noise)] - q, integrated in t = noise/b over [-40, 40],
     outside which the density is below 1e-16 of its peak.  The integrand is of
     order 1 at any b, so quad's absolute tolerance stays relative, and t = 0
     and the post-processor's kinks are breakpoints, so piecewise-smooth
     integrands keep full convergence order."""
     points = [0.0] + [(kink - q) / b for kink in pp.kinks]
-
-    def excess(t: float) -> float:
-        return (apply_postprocessor(pp, q + b * t) - offset) / b * math.exp(-abs(t)) / 2.0
-
-    return b * _integrate(excess, -_TAIL_RADII, _TAIL_RADII, points)
+    return b * _integrate(lambda t: (apply_postprocessor(pp, q + b * t) - q) / b * math.exp(-abs(t)) / 2.0,
+                          -_TAIL_RADII, _TAIL_RADII, points)
 
 
 def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) -> float:
@@ -154,7 +151,7 @@ def expectation_postprocessed_quadrature(pp: PostProcessor, q: float, b: float) 
     accuracy of :func:`quadrature_bias`."""
     _require_positive("scale", b)
     _require_nonnegative("q", q)
-    return q + _postprocessed_mean(pp, q, b, q)
+    return q + _postprocessed_mean(pp, q, b)
 
 
 def closed_form_bias(spec: MechanismSpec, q: float) -> float:
@@ -217,4 +214,4 @@ def quadrature_bias(spec: MechanismSpec, q: float) -> float:
             return t * b * (0.0 if x < 0 else float(np.exp(-abs(x - q) / b)) / (2.0 * b) / normalizer)
 
         return b * _integrate(excess, max(-_TAIL_RADII, -q / b), _TAIL_RADII, [0.0])
-    return _postprocessed_mean(spec.postprocessor, q, b, q)
+    return _postprocessed_mean(spec.postprocessor, q, b)

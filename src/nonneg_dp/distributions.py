@@ -44,7 +44,7 @@ import importlib.util
 import math
 import operator
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 
 def _lazy_numpy():

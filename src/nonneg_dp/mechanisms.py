@@ -27,7 +27,7 @@ import enum
 import math
 import sys
 import warnings
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .distributions import (LaplaceDist, RngState, _even_grid, _integrate, _quantile, _quantile_in_place,
                             _require_integer, _require_nonnegative, _require_positive, _scalar_quantile,
@@ -85,16 +85,17 @@ _LARGEST = sys.float_info.max
 def _check_v_plus_membership(func: Callable[[float], float], scale: float,
                              kinks: tuple[float, ...]) -> None:
     """Reject functions outside the cone of nonnegative, square-integrable
-    post-processors under the exp(-|x|/b) weight.  E[f(bT)^2] for a standard
-    Laplace T, integrated in t = x/b over [-T, T] for T = 20, 40, ..., split
-    at 0 and at the kinks, must settle; an overflow or a failed integral means
-    it does not."""
-    for x in _even_grid(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS):
-        if not 0.0 <= float(func(x)) <= _LARGEST:   # false for nan and inf too
-            raise ValueError("post-processor not nonnegative")
+    post-processors under the exp(-|x|/b) weight.  E[(f(bT)/m)^2] for a standard
+    Laplace T and m the largest output on the grid (or 1), taken in t = x/b over
+    [-T, T] for T = 20, 40, ..., split at 0 and at the kinks, must settle; an
+    overflow or a failed integral means it does not."""
+    outputs = [float(func(x)) for x in _even_grid(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS)]
+    if not all(0.0 <= y <= _LARGEST for y in outputs):   # false for nan and inf too
+        raise ValueError("post-processor not nonnegative")
+    peak = max(outputs) or 1.0
 
     def weighted_square(t: float) -> float:
-        return float(func(scale * t)) ** 2 * math.exp(-abs(t)) / 2.0
+        return (float(func(scale * t)) / peak) ** 2 * math.exp(-abs(t)) / 2.0
 
     points = [0.0] + [kink / scale for kink in kinks]
     radius = 20.0

@@ -15,15 +15,15 @@ restriction bias, witnessing its strict positivity constructively.
 The divergence check for multiplicative mechanisms watches truncated
 integrals of exp(x) against the Laplace weight grow without bound once the
 noise scale reaches 1, instead of trusting sample means of a heavy-tailed
-law to misbehave reliably.
+law to misbehave reliably; each truncated integral is a closed form.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
-from .distributions import (LaplaceDist, RngState, _integrate, _require_integer, _require_nonnegative,
+from .distributions import (LaplaceDist, RngState, _require_integer, _require_nonnegative,
                             _require_positive, _Value, laplace_quantile, log_laplace_mgf, np)
 from .mechanisms import MechanismSpec, restricted_quantile, sample_mechanism
 
@@ -189,17 +189,17 @@ def coupling_bias_lower_bound(base: LaplaceDist, omega_grid: int) -> float:
 
 
 def _truncated_exp_moment(b: float, radius: float) -> float:
-    """E[exp(noise)] for Laplace noise of scale b truncated to [-T, T],
-    integrated in t = noise/b, where it is of order 1 at any b: e^(bt - |t|)/2
-    over [-T/b, T/b], broken at 0, each side cut where its integrand, if it
-    decays, falls below 1e-17 of its peak."""
-    reach, decayed = radius / b, math.log(1e17)
-    hi = min(reach, decayed / (1.0 - b)) if b < 1.0 else reach
+    """E[exp(noise)] for Laplace noise of scale b truncated to [-T, T], in closed
+    form through expm1: (e^r - 1)/(2(b-1)) over [0, T], with r = T((b-1)/b) <= T,
+    or T/2 at b = 1, plus (1 - e^(-T(1+b)/b))/(2(1+b)) over [-T, 0].  From r = 700
+    on, the division is taken in the exponent, where e^r alone overflows first."""
+    rate = radius * ((b - 1.0) / b)
     try:
-        moment = _integrate(lambda t: math.exp(b * t - abs(t)) / 2.0,
-                            -min(reach, decayed / (1.0 + b)), hi, [0.0])
+        right = (radius / 2.0 if b == 1.0 else math.expm1(rate) / (2.0 * (b - 1.0)) if rate < 700.0
+                 else math.exp(rate - math.log(2.0 * (b - 1.0))))
     except OverflowError:
         raise ValueError(f"truncated moment overflows at radius {radius:g}") from None
+    moment = right - math.expm1(-radius * (1.0 + b) / b) / (2.0 * (1.0 + b))
     if moment == 0.0:
         raise ValueError(f"truncated moment underflows at radius {radius:g}")
     return moment

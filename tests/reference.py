@@ -1,6 +1,6 @@
 """Reference forms the tests check the package against, each written once:
 the Laplace and restricted laws, means by scipy quadrature, biases and log
-ratios by mpmath, the truncated exp moment, and custom post-processors.
+ratios and the truncated exp moment by mpmath, and custom post-processors.
 
 No reference value comes from the code under test: this module imports the
 standard library, numpy, scipy and mpmath, and nothing from ``nonneg_dp``.
@@ -129,12 +129,15 @@ def exact_log_ratio(delta: float, b: float, restricted: bool) -> float:
 
 
 def truncated_exp_moment(b: float, radius: float) -> float:
-    """E[exp(Z)] for Laplace Z of scale b truncated to [-T, T]: at b = 1 it
+    """E[exp(Z)] for Laplace Z of scale b truncated to [-T, T], at 50 digits:
+    (1/2b) times the integral of e^x e^(-|x|/b) over [-T, T], which at b = 1
     grows linearly, (1/2)((1 - e^(-2T))/2 + T)."""
-    if b == 1.0:
-        return 0.5 * ((1 - math.exp(-2 * radius)) / 2 + radius)
-    return 0.5 * (-math.expm1(-radius * (1 + b) / b) / (1 + b)
-                  - math.expm1(-radius * (1 - b) / b) / (1 - b))
+    with mpmath.workdps(50):
+        b, t = mpmath.mpf(b), mpmath.mpf(radius)
+        if b == 1:
+            return float(((1 - mpmath.exp(-2 * t)) / 2 + t) / 2)
+        down, up = 1 / b + 1, 1 / b - 1
+        return float(((1 - mpmath.exp(-t * down)) / down + (1 - mpmath.exp(-t * up)) / up) / (2 * b))
 
 
 def softplus(x: float) -> float:

@@ -644,7 +644,8 @@ class TestColdImport:
     """A fresh process never loads scipy, loads the quadrature only for the
     subcommands that integrate, and executes numpy only for those that
     build arrays.  Neither the import nor a subcommand that builds no array
-    loads ``dataclasses`` or ``inspect``, which cost a cold process about 10 ms."""
+    loads ``dataclasses`` or ``inspect``, which cost a cold process about 10 ms,
+    and the import loads no ``typing``."""
 
     # numpy.* submodules exist only once numpy has executed; the lazily
     # loaded numpy entry itself does not count.  Modules already loaded at
@@ -680,6 +681,17 @@ class TestColdImport:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
         assert proc.stdout == "[]\n"
+
+    def test_import_without_site_loads_no_typing(self):
+        # -S keeps site, and any .pth file it runs, from loading typing first.
+        paths = [str(Path(__file__).parents[1] / "src"), str(Path(np.__file__).parents[1])]
+        script = ("import sys\n"
+                  f"sys.path[:0] = {paths!r}\n"
+                  "import nonneg_dp.cli\n"
+                  "print('typing' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("argv", [
         ("optimal-alpha",),

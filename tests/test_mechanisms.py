@@ -112,6 +112,17 @@ class TestPostProcessor:
         # at log-uniform scales in [1e-2, 1e2] by `analysis`.
         assert PostProcessor.custom(softplus, scale).func is softplus
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e154, 1e300])
+    def test_custom_ramp_and_constant_accepted_at_every_scale(self, scale):
+        # Squared unscaled, the ramp's outputs overflowed from about 1.5e154 on.
+        for func in (lambda x: max(x, 0.0), lambda x: 3.0):
+            assert PostProcessor.custom(func, scale).func is func
+
+    def test_custom_with_infinite_variance_rejected_at_its_scale(self):
+        # exp(x/3) is square-integrable under exp(-|x|) but not under exp(-|x|/2).
+        with pytest.raises(ValueError, match="square-integrable"):
+            PostProcessor.custom(lambda x: math.exp(x / 3.0), scale=2.0)
+
     def test_custom_rejects_negative_function(self):
         with pytest.raises(ValueError, match="not nonnegative"):
             PostProcessor.custom(lambda x: x, scale=1.0)

@@ -30,7 +30,6 @@ from nonneg_dp.mechanisms import (
     make_postprocessed_mechanism,
     make_restricted_mechanism,
 )
-from nonneg_dp.verify import check_divergence_log_laplace
 from reference import softplus, wavy_ramp
 
 # quad's message for each non-zero ier.
@@ -128,8 +127,6 @@ CORPUS = {
                              QS, 2.0),
     "interpolant-161": _interpolant(161),
     "interpolant-401": _interpolant(401),
-    "divergence-moments": lambda: [check_divergence_log_laplace(b, (10.0, 20.0, 40.0, 80.0, 160.0))
-                                   for b in (0.5, 1.0, 2.0)],
 }
 
 

@@ -418,15 +418,29 @@ class TestDivergenceCheck:
         assert report.limit == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert not report.diverges
 
-    @pytest.mark.parametrize("b", [1e-300, 1e-6, 1e-4, 0.5, 1e300])
-    def test_truncated_moment_at_every_scale(self, b):
+    @pytest.mark.parametrize("b,radii,diverges,converged", [
+        pytest.param(1e-300, (1.0, 2.0, 4.0), False, True, id="1e-300"),
+        pytest.param(1e-6, (1.0, 2.0, 4.0), False, True, id="1e-06"),
+        pytest.param(1e-4, (1.0, 2.0, 4.0), False, True, id="0.0001"),
+        pytest.param(0.5, (1.0, 2.0, 4.0), False, False, id="0.5"),
+        pytest.param(1e300, (1.0, 2.0, 4.0), True, False, id="1e+300"),
+        pytest.param(1e300, (10.0, 20.0, 40.0, 80.0, 160.0), True, False, id="1e+300-radii-10-to-160"),
+        # Just below 1 the moments grow as they do at 1 until T(1 - b) nears 1.
+        pytest.param(1 - 1e-12, (1e6, 1e8), True, False, id="1-1e-12"),
+        pytest.param(1 + 1e-12, (1e6, 1e8), True, False, id="1+1e-12"),
+    ])
+    def test_truncated_moment_at_every_scale(self, b, radii, diverges, converged):
         # Integrated in x, at b = 1e-4 the moments were (1.00000001, 1.6e-17,
-        # 4.4e-36), not converged, and at b <= 1e-6 a ZeroDivisionError.
-        report = check_divergence_log_laplace(b, (1.0, 2.0, 4.0))
+        # 4.4e-36), not converged, and at b <= 1e-6 a ZeroDivisionError.  By
+        # quadrature in t = x/b, b = 1e300 lost up to 4.9e-4 of a moment of
+        # order 1e-231 to the absolute tolerance, and b = 1 -+ 1e-12 at radius
+        # 1e8 was reported not integrable.
+        report = check_divergence_log_laplace(b, radii)
         for radius, value in zip(report.radii, report.values):
-            assert value == pytest.approx(truncated_exp_moment(b, radius), rel=1e-9)
-        assert report.converged == (b <= 1e-4)
-        assert report.diverges == (b > 1)
+            # abs=0: approx's default abs=1e-12 would pass any moment near 1e-231.
+            assert value == pytest.approx(truncated_exp_moment(b, radius), rel=1e-12, abs=0.0)
+        assert report.converged == converged
+        assert report.diverges == diverges
 
     def test_radius_over_scale_that_underflows_is_value_error(self):
         with pytest.raises(ValueError, match="underflows at radius 1e-30"):
@@ -453,3 +467,17 @@ class TestDivergenceOverflow:
     def test_overflow_is_value_error_naming_the_radius(self, b, radii, bad):
         with pytest.raises(ValueError, match=f"radius {bad}"):
             check_divergence_log_laplace(b, radii)
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-10, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 1e300])
+    def test_moments_match_50_digits_or_name_the_radius(self, b):
+        # Radii from 1e-3 to 1e8 in half decades.  At b = 1e300 and T = 1000
+        # the moment is 1e134, though e^(T(b-1)/b) alone overflows.
+        radii = [10.0 ** (k / 2) for k in range(-6, 17)]
+        wants = [truncated_exp_moment(b, radius) for radius in radii]
+        finite = [radius for radius, want in zip(radii, wants) if want < math.inf]
+        report = check_divergence_log_laplace(b, finite)
+        for value, want in zip(report.values, wants):
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        if len(finite) < len(radii):
+            with pytest.raises(ValueError, match=f"overflows at radius {radii[len(finite)]:g}$"):
+                check_divergence_log_laplace(b, radii)
