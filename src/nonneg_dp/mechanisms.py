@@ -88,14 +88,20 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
     post-processors under the exp(-|x|/b) weight.  E[(f(bT)/m)^2] for a standard
     Laplace T and m the largest output on the grid (or 1), taken in t = x/b over
     [-T, T] for T = 20, 40, ..., split at 0 and at the kinks, must settle; an
-    overflow or a failed integral means it does not."""
+    overflow or a failed integral means it does not.  An output outside
+    [0, max double], on the grid or in an integral, is not nonnegative."""
     outputs = [float(func(x)) for x in _even_grid(-20.0 * scale, 20.0 * scale, _VPLUS_GRID_POINTS)]
     if not all(0.0 <= y <= _LARGEST for y in outputs):   # false for nan and inf too
         raise ValueError("post-processor not nonnegative")
     peak = max(outputs) or 1.0
+    negative = ValueError("post-processor not nonnegative")
 
     def weighted_square(t: float) -> float:
-        return (float(func(scale * t)) / peak) ** 2 * math.exp(-abs(t)) / 2.0
+        # Squaring would hide a negative output, and QUADPACK may step past a nan.
+        value = float(func(scale * t))
+        if not 0.0 <= value <= _LARGEST:
+            raise negative
+        return (value / peak) ** 2 * math.exp(-abs(t)) / 2.0
 
     points = [0.0] + [kink / scale for kink in kinks]
     radius = 20.0
@@ -107,8 +113,9 @@ def _check_v_plus_membership(func: Callable[[float], float], scale: float,
             if abs(current - previous) <= max(_VPLUS_RTOL * abs(current), 1e-12):
                 return
             previous = current
-    except (OverflowError, ValueError):
-        pass
+    except (OverflowError, ValueError) as error:
+        if error is negative:
+            raise
     raise ValueError("post-processor not square-integrable under the Laplace weight")
 
 
@@ -120,12 +127,12 @@ class PostProcessor(_Value):
     ValueError.  Every output must be finite and nonnegative, each time the
     function is applied: a custom one that returns a negative value, nan or
     inf is a ValueError there.  ``custom`` functions are vetted at
-    construction: their outputs are spot-checked on a grid and
-    square-integrability under the exp(-|x|/scale) weight is required, which
-    guarantees finite first and second output moments at every query value
-    for noise of that ``scale``.  A spec sampling at another scale is not
-    vetted again: exp(x/3) passes at scale 1, but at scale 2 its variance is
-    infinite.
+    construction: square-integrability under the exp(-|x|/scale) weight is
+    required, which guarantees finite first and second output moments at
+    every query value for noise of that ``scale``, and the outputs on a grid
+    and wherever that integral evaluates the function are checked.  A spec
+    sampling at another scale is not vetted again: exp(x/3) passes at scale
+    1, but at scale 2 its variance is infinite.
 
     ``kinks`` are the points where the function is not smooth, sorted: alpha
     for the translated ramp, those declared for a custom one.  Every integral

@@ -1,15 +1,25 @@
 """QUADPACK's adaptive quadrature QAGP, in pure Python.
 
-A line-for-line port of ``dqagpe`` with its helpers ``dqk21``, ``dqpsrt``
-and ``dqelg``, from R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber
-and D. K. Kahaner, *QUADPACK: a subroutine package for automatic
-integration*, Springer 1983.  Every floating-point operation is done in the
-Fortran's order, with its decimal node constants and d1mach values, so
-``qagp(f, a, b, points, ...)`` equals ``scipy.integrate.quad(f, a, b,
-points=points, ...)`` bit for bit (value, error estimate, status,
-evaluation count and interval lists), also when ``points`` is empty: quad
-runs dqagpe whenever it is given ``points``, and without them ``dqagse``
-(QAGS), whose stopping and extrapolation rules differ slightly.
+A port of ``dqagpe`` with its helpers ``dqk21``, ``dqpsrt`` and ``dqelg``,
+from R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and D. K.
+Kahaner, *QUADPACK: a subroutine package for automatic integration*,
+Springer 1983.  Every floating-point operation is done in the Fortran's
+order, with its decimal node constants and d1mach values, so ``qagp(f, a, b,
+points, ...)`` equals ``scipy.integrate.quad(f, a, b, points=points, ...)``
+bit for bit (value, error estimate, status, evaluation count and interval
+lists), also when ``points`` is empty: quad runs dqagpe whenever it is
+given ``points``, and without them ``dqagse`` (QAGS), whose stopping and
+extrapolation rules differ slightly.
+
+All but ``dqpsrt`` follow the Fortran line for line.  ``dqpsrt``, which
+keeps the subintervals ordered by error estimate, finds its two insertion
+points by binary search instead of the Fortran's linear scans, and keeps
+the Fortran's three tie rules: the bisected interval moves up only past
+strictly smaller errors, it is then inserted above the errors below it
+that it equals, and the new interval below it, above the errors it equals.
+The order is the Fortran's whenever no error estimate is nan.  None of the
+package's integrands returns nan: a custom post-processor's nan is a
+ValueError.
 
 :func:`qagp` returns a :class:`Quadrature`.  Its ``ier`` is QUADPACK's
 status: 0 success, 1 the subdivision limit is reached, 2 roundoff prevents
@@ -26,7 +36,9 @@ code takes the IEEE outcome by hand.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Callable
 
 __all__ = ["Quadrature", "qagp"]
 
@@ -62,22 +74,11 @@ _POINT_WIDTH = 1.0 + 100.0 * _EPMACH
 _POINT_FLOOR = 1000.0 * _UFLOW
 
 
-class Quadrature(NamedTuple):
-    """What dqagpe returns.  The interval lists hold the ``last``
-    subintervals; ``iord`` (0-based) holds as many of their indices, by
-    decreasing error estimate, as QUADPACK keeps sorted: ``last`` of them,
-    or limit + 1 - last once last exceeds limit/2 + 2."""
-
-    value: float
-    abserr: float
-    ier: int
-    neval: int
-    last: int
-    alist: list[float]
-    blist: list[float]
-    rlist: list[float]
-    elist: list[float]
-    iord: list[int]
+Quadrature = namedtuple("Quadrature", "value abserr ier neval last alist blist rlist elist iord")
+Quadrature.__doc__ = """What dqagpe returns.  The interval lists hold the ``last`` subintervals;
+``iord`` (0-based) holds as many of their indices, by decreasing error
+estimate, as QUADPACK keeps sorted: ``last`` of them, or limit + 1 - last
+once last exceeds limit/2 + 2."""
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
@@ -136,42 +137,20 @@ def _qpsrt(limit: int, last: int, maxerr: int, elist: list[float], iord: list[in
     """dqpsrt: keep ``iord`` sorted by decreasing error after interval
     ``maxerr`` was bisected into itself and ``last``; returns the next
     interval to bisect, its error and the new nrmax."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                # Insert errmax here, then errmin by traversing the list bottom-up.
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        iord[k + 1] = last
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
+    errmax = elist[maxerr]
+    # Move maxerr up past the errors its own now exceeds; a nan one goes to the top.
+    while nrmax > 1 and not errmax <= elist[iord[nrmax - 1]]:
+        iord[nrmax] = iord[nrmax - 1]
+        nrmax -= 1
+    # Into the sorted old positions nrmax+1 ... jbnd insert maxerr, then last
+    # below it, each above the errors it equals; 1 ... jupbn stay sorted.
+    jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
+    tail = iord[nrmax + 1:jupbn]
+    at = bisect_left(tail, -errmax, key=lambda i: -elist[i])
+    tail.insert(at, maxerr)
+    tail.insert(bisect_left(tail, -elist[last], at + 1, key=lambda i: -elist[i]), last)
+    # At the last subdivisions jbnd = jupbn - 1 can fall below nrmax.
+    iord[min(nrmax, jupbn - 1):jupbn + 1] = tail
     maxerr = iord[nrmax]
     return maxerr, elist[maxerr], nrmax
 
@@ -374,7 +353,6 @@ def qagp(f: Callable[[float], float], a: float, b: float, points: list[float], e
             blist.append(b2)
             elist[maxerr] = error1
             elist.append(error2)
-        iord.append(0)
         maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             abserr = _OFLOW   # take the sum of the interval results

@@ -117,7 +117,10 @@ def certify_dp_densities(log_density_a: Callable[[float], float], log_density_b:
     A pointwise density-ratio bound implies the measure-level privacy
     inequality, so passing is sufficient evidence once the points hold the
     supremum of the log ratio, as the kinks of
-    :func:`nonneg_dp.mechanisms.adjacent_densities` do.
+    :func:`nonneg_dp.mechanisms.adjacent_densities` do.  It certifies those
+    ideal densities, not the doubles that ``sample_mechanism`` returns: a
+    double one query value releases can be one its neighbour never does
+    (Mironov, CCS 2012).
     """
     _require_nonnegative("claimed level", eps)
     points = [float(x) for x in points]

@@ -221,7 +221,7 @@ class TestRestrictedBias:
         for q, eps, delta in [(1.0, 1.0, 1.0), (0.5, 2.0, 0.4), (3.0, 0.5, 1.5)]:
             b = delta / eps
             expected = (q * eps + delta) / (2 * eps * math.exp(q * eps / delta) - eps)
-            assert bias_restricted(q, b) == pytest.approx(expected, rel=1e-14)
+            assert bias_restricted(q, b) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_matches_quadrature_of_restricted_density(self):
         for q, b in [(0.0, 1.0), (1.0, 1.0), (2.0, 0.5), (5.0, 2.0)]:

@@ -485,7 +485,7 @@ class TestConfigFile:
         assert run("compare", "--config", config, "--out", str(out)) == 0
         assert [row[0] for row in read_csv_report(str(out))[1]] == [1.0, 2.0, 3.0]
         assert run("compare", "--config", config, "--q-log", "--out", str(out)) == 0
-        assert read_csv_report(str(out))[1][1][0] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert read_csv_report(str(out))[1][1][0] == pytest.approx(math.sqrt(3.0), rel=1e-15, abs=0)
 
     def test_seed_precedence_is_flag_then_file_then_env_then_zero(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NONNEG_DP_SEED", raising=False)
@@ -595,7 +595,7 @@ class TestErrorHandling:
                    "--samples", "1000", "--out", str(out)) == 0
         assert "Traceback" not in capsys.readouterr().err
         _, [[_, closed, quad, _, _]], _ = read_csv_report(str(out))
-        assert quad == pytest.approx(closed, rel=1e-13)
+        assert quad == pytest.approx(closed, rel=1e-13, abs=0)
 
     def test_monte_carlo_near_the_top_of_the_float_range(self, capsys):
         assert run("bias-curve", "--mechanism", "laplace", "--sensitivity", "1e300",
@@ -645,7 +645,7 @@ class TestColdImport:
     subcommands that integrate, and executes numpy only for those that
     build arrays.  Neither the import nor a subcommand that builds no array
     loads ``dataclasses`` or ``inspect``, which cost a cold process about 10 ms,
-    and the import loads no ``typing``."""
+    and neither the import nor an integral loads ``typing``."""
 
     # numpy.* submodules exist only once numpy has executed; the lazily
     # loaded numpy entry itself does not count.  Modules already loaded at
@@ -682,16 +682,22 @@ class TestColdImport:
                               timeout=120, check=True)
         assert proc.stdout == "[]\n"
 
-    def test_import_without_site_loads_no_typing(self):
+    @staticmethod
+    def _loads_typing_without_site(statements):
         # -S keeps site, and any .pth file it runs, from loading typing first.
         paths = [str(Path(__file__).parents[1] / "src"), str(Path(np.__file__).parents[1])]
-        script = ("import sys\n"
-                  f"sys.path[:0] = {paths!r}\n"
-                  "import nonneg_dp.cli\n"
-                  "print('typing' in sys.modules)\n")
+        script = f"import sys\nsys.path[:0] = {paths!r}\n{statements}print('typing' in sys.modules)\n"
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                               timeout=120, check=True)
-        assert proc.stdout == "False\n"
+        return proc.stdout
+
+    def test_import_without_site_loads_no_typing(self):
+        assert self._loads_typing_without_site("import nonneg_dp.cli\n") == "False\n"
+
+    def test_integral_without_site_loads_no_typing(self):
+        # The first integral imports the quadrature.
+        statements = "import nonneg_dp.cli\nnonneg_dp.distributions._integrate(abs, -1.0, 1.0, [0.0])\n"
+        assert self._loads_typing_without_site(statements) == "False\n"
 
     @pytest.mark.parametrize("argv", [
         ("optimal-alpha",),

@@ -158,6 +158,25 @@ class TestExactCertificate:
         assert cert.passed
 
 
+class TestFloatSamplerGap:
+    """The certificate covers the ideal densities, not the doubles that
+    ``sample_mechanism`` returns (Mironov, CCS 2012).  At b = 1 a plain output
+    of q = 1 in (0, 0.5) is 1 + log(2u) with log(2u) in (-1, -0.5): exact by
+    Sterbenz's lemma, so a multiple of 2^-53.  A q = 0 output there off that
+    grid is one q = 1 can never release."""
+
+    def test_q_1_never_releases_what_q_0_releases_off_the_grid(self):
+        spec = make_laplace_mechanism(PrivacyParams(1.0, 1.0))
+
+        def in_window_and_off_grid(q):
+            draws = sample_mechanism(spec, q, RngState(1), size=10**6)
+            window = draws[(draws > 0.0) & (draws < 0.5)]
+            return window.size, np.count_nonzero(np.ldexp(window, 53) % 1.0)
+
+        assert in_window_and_off_grid(1.0) == (119_287, 0)
+        assert in_window_and_off_grid(0.0)[1] == 135_481
+
+
 class TestMcBias:
     def test_clamped_at_zero(self):
         spec = make_postprocessed_mechanism(PrivacyParams(1.0, 1.0), PostProcessor.ramp())
